@@ -125,24 +125,27 @@ MusicClient::MusicClient(sim::Simulation& sim, net::Transport& transport,
       health_(peers_.size()) {}
 
 int MusicClient::pick_replica(int attempt) {
-  size_t n = peers_.size();
-  std::vector<size_t> eligible;
-  eligible.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!transport_->peer_up(peers_[i])) continue;
-    if (health_[i].quarantined_until > sim_.now()) continue;
-    eligible.push_back(i);
-  }
-  if (eligible.empty()) {
-    // Everything healthy is quarantined; probe the up replicas anyway
-    // rather than stalling the operation.
-    for (size_t i = 0; i < n; ++i) {
-      if (transport_->peer_up(peers_[i])) eligible.push_back(i);
+  // Counted twice rather than collected: this runs on every attempt and
+  // every acquire poll, so it stays allocation-free.
+  auto eligible = [this](size_t i, bool healthy_only) {
+    return transport_->peer_up(peers_[i]) &&
+           (!healthy_only || health_[i].quarantined_until <= sim_.now());
+  };
+  // Prefer replicas that are up and not quarantined; when everything
+  // healthy is quarantined, probe the up replicas anyway rather than
+  // stalling the operation.
+  for (bool healthy_only : {true, false}) {
+    size_t count = 0;
+    for (size_t i = 0; i < peers_.size(); ++i) {
+      if (eligible(i, healthy_only)) ++count;
+    }
+    if (count == 0) continue;
+    size_t pick = static_cast<size_t>(attempt) % count;
+    for (size_t i = 0; i < peers_.size(); ++i) {
+      if (eligible(i, healthy_only) && pick-- == 0) return static_cast<int>(i);
     }
   }
-  if (eligible.empty()) return -1;
-  return static_cast<int>(
-      eligible[static_cast<size_t>(attempt) % eligible.size()]);
+  return -1;
 }
 
 void MusicClient::note_result(size_t idx, bool responsive) {
@@ -216,11 +219,15 @@ sim::Task<Result<LockRef>> MusicClient::create_lock_ref(Key key) {
 }
 
 sim::Task<Status> MusicClient::acquire_lock(Key key, LockRef ref) {
-  // A single poll at the preferred replica; NotYetHolder is a normal
-  // outcome, not a failure (acquire_lock_blocking drives the polling).
+  // A single poll at the first eligible replica (the preferred one unless
+  // it is down or quarantined); NotYetHolder is a normal outcome, not a
+  // failure (the caller's polling loop drives the retries).
+  int idx = pick_replica(0);
+  if (idx < 0) co_return Status(OpStatus::Timeout);
   Response r = co_await invoke(
-      peers_.front(),
+      peers_[static_cast<size_t>(idx)],
       Request(Request::Op::AcquireLock, std::move(key), ref, Value()));
+  note_result(static_cast<size_t>(idx), !is_retryable(r.status));
   co_return Status(r.status);
 }
 
