@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "core/client.h"
-#include "core/music.h"
-#include "datastore/store.h"
-#include "lockstore/lockstore.h"
+#include "core/group.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 
@@ -32,10 +30,7 @@ namespace {
 struct PortalWorld {
   sim::Simulation s{11};
   sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
+  core::MusicGroup group;
 
   PortalWorld()
       : net(s, [] {
@@ -43,23 +38,9 @@ struct PortalWorld {
           c.profile = sim::LatencyProfile::profile_lus();
           return c;
         }()),
-        store(s, net, ds::StoreConfig{}, {0, 1, 2}),
-        locks(store) {
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(std::make_unique<core::MusicReplica>(
-          store, locks, core::MusicConfig{}, site));
-    }
-  }
+        group(s, net, core::GroupConfig{}) {}
 
-  core::MusicClient& make_client(int site) {
-    std::vector<core::MusicReplica*> prefs{replicas[static_cast<size_t>(site)].get()};
-    for (int i = 0; i < 3; ++i) {
-      if (i != site) prefs.push_back(replicas[static_cast<size_t>(i)].get());
-    }
-    clients.push_back(std::make_unique<core::MusicClient>(
-        s, net, prefs, core::ClientConfig{}, site));
-    return *clients.back();
-  }
+  core::MusicClient& make_client(int site) { return group.add_client(site); }
 };
 
 /// One Portal back-end replica.  Processes write(userID, role) requests in

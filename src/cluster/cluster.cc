@@ -40,40 +40,21 @@ Cluster::Cluster(sim::Simulation& sim, sim::Network& net, ClusterConfig cfg)
   inflight_ =
       std::make_unique<std::atomic<int64_t>[]>(static_cast<size_t>(cfg_.shards));
 
-  groups_.resize(static_cast<size_t>(ngroups));
+  groups_.reserve(static_cast<size_t>(ngroups));
   for (int g = 0; g < ngroups; ++g) {
-    Group& grp = groups_[static_cast<size_t>(g)];
-    // Store replicas interleaved across the group's 3 home sites (identity
-    // sites {0,1,2} in the classic layout).
-    std::vector<int> store_sites;
-    for (int i = 0; i < cfg_.store_nodes_per_group; ++i) {
-      store_sites.push_back(home_site(g, i % 3));
-    }
-    grp.store = std::make_unique<ds::StoreCluster>(sim_, net_, cfg_.store,
-                                                   store_sites);
-    grp.locks = std::make_unique<ls::LockStore>(*grp.store);
-    for (int k = 0; k < 3; ++k) {
-      grp.replicas.push_back(std::make_unique<core::MusicReplica>(
-          *grp.store, *grp.locks, cfg_.music, home_site(g, k)));
-      if (cfg_.failure_detector) {
-        grp.replicas.back()->start_failure_detector();
-      }
-    }
+    core::GroupConfig gc;
+    gc.sites = {home_site(g, 0), home_site(g, 1), home_site(g, 2)};
+    gc.store_nodes = cfg_.store_nodes_per_group;
+    gc.holder = cfg_.holder_site;
+    gc.failure_detector = cfg_.failure_detector;
+    gc.music = cfg_.music;
+    gc.store = cfg_.store;
+    gc.client = cfg_.client;
+    Group& grp = groups_.emplace_back(sim_, net_, std::move(gc));
     // One shared core client per home site, eagerly (routing fans all
     // logical clients into these; eager construction keeps node ids — and
     // thus seeded client rng streams — independent of traffic order).
-    for (int k = 0; k < 3; ++k) {
-      int first = cfg_.holder_site >= 0 ? cfg_.holder_site : k;
-      std::vector<core::MusicReplica*> prefs{
-          grp.replicas[static_cast<size_t>(first)].get()};
-      for (int j = 0; j < 3; ++j) {
-        if (j != first) {
-          prefs.push_back(grp.replicas[static_cast<size_t>(j)].get());
-        }
-      }
-      grp.clients.push_back(std::make_unique<core::MusicClient>(
-          sim_, net_, prefs, cfg_.client, home_site(g, k)));
-    }
+    for (int site : grp.cfg.sites) grp.add_client(site);
   }
   rebuild_snapshot();
 }
@@ -245,6 +226,10 @@ void Cluster::set_down_music(int g, int site, bool down, bool amnesia) {
   Group& grp = group(g);
   if (site < 0 || site >= static_cast<int>(grp.replicas.size())) return;
   grp.replicas[static_cast<size_t>(site)]->set_down(down, amnesia);
+}
+
+void Cluster::set_site_down(int site, bool down, bool amnesia) {
+  for (Group& grp : groups_) grp.set_site_down(site, down, amnesia);
 }
 
 uint64_t Cluster::total_critical_puts() const {

@@ -1,9 +1,9 @@
 // Multi-group MUSIC: N independent lock/data groups behind one keyspace.
 //
 // A Cluster instantiates, over one simulated network, a configurable number
-// of MUSIC *groups* — each its own data-store replica set (one replica per
-// site), lock store and per-site MUSIC replicas, exactly the world every
-// single-group test builds — and a consistent-hash ring (cluster/ring.h)
+// of MUSIC *groups* — each its own data-store replica set, lock store and
+// per-site MUSIC replicas, built by core::MusicGroup (core/group.h) like
+// every single-group world — and a consistent-hash ring (cluster/ring.h)
 // partitioning the keyspace into shards served by those groups.  This is
 // Spinnaker's shard-per-consensus-group design (PAPERS.md) applied to
 // MUSIC's lock domains: keys in different shards coordinate through
@@ -42,9 +42,7 @@
 
 #include "cluster/shardmap.h"
 #include "core/client.h"
-#include "core/music.h"
-#include "datastore/store.h"
-#include "lockstore/lockstore.h"
+#include "core/group.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -90,14 +88,9 @@ struct ClusterStats {
   std::atomic<uint64_t> wrong_shard_rejects{0}; // bounced (frozen or stale)
 };
 
-/// One MUSIC group: store + lock store + per-site replicas, plus one shared
-/// core client per site (routing fans many logical clients into these).
-struct Group {
-  std::unique_ptr<ds::StoreCluster> store;
-  std::unique_ptr<ls::LockStore> locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;  // per site
-  std::vector<std::unique_ptr<core::MusicClient>> clients;    // per site
-};
+/// One MUSIC group (core/group.h), with one shared core client per home
+/// site (routing fans many logical clients into these).
+using Group = core::MusicGroup;
 
 class Cluster {
  public:
@@ -137,10 +130,7 @@ class Cluster {
   /// classic 3-site layout.
   core::MusicClient& client_at(int g, int site) {
     Group& grp = group(g);
-    for (size_t k = 0; k < grp.clients.size(); ++k) {
-      if (home_site(g, static_cast<int>(k)) == site) return *grp.clients[k];
-    }
-    return *grp.clients.at(static_cast<size_t>(site % 3));
+    return *grp.clients.at(static_cast<size_t>(grp.local_index(site)));
   }
 
   /// Moves `shard` to `to_group` (freeze / drain / copy / flip; see the
@@ -156,6 +146,10 @@ class Cluster {
 
   void set_down_store(int g, int replica, bool down, bool amnesia);
   void set_down_music(int g, int site, bool down, bool amnesia);
+  /// Takes global `site` down (or back up) in every group: each store and
+  /// MUSIC replica whose site() is `site` — the way a zone outage or a
+  /// site restart lands on a sharded deployment.
+  void set_site_down(int site, bool down, bool amnesia);
 
   // ---- Introspection. --------------------------------------------------------
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/client.h"
+#include "core/group.h"
 #include "core/music.h"
 #include "datastore/store.h"
 #include "lockstore/lockstore.h"
@@ -60,8 +61,8 @@ struct WorldOptions {
   WorldOptions() { net.profile = profile; }
 };
 
-/// A complete MUSIC deployment: simulation, network, store cluster, lock
-/// store, one MUSIC replica per site, and clients.
+/// A complete MUSIC deployment: simulation, network, and one MUSIC group
+/// (core/group.h) with `clients_per_site` local-first clients per site.
 class MusicWorld {
  public:
   explicit MusicWorld(WorldOptions opt = WorldOptions())
@@ -82,28 +83,20 @@ class MusicWorld {
           }
           return n;
         }()),
-        store(sim, net, options.store, node_sites(options.store_nodes)),
-        locks(store),
+        group(sim, net, [this] {
+          core::GroupConfig gc;
+          gc.store_nodes = options.store_nodes;
+          gc.music = options.music;
+          gc.store = options.store;
+          gc.client = options.client;
+          return gc;
+        }()),
         runner(sim) {
     for (int site = 0; site < 3; ++site) {
-      replicas.push_back(std::make_unique<core::MusicReplica>(
-          store, locks, options.music, site));
-    }
-    for (int site = 0; site < 3; ++site) {
       for (int c = 0; c < options.clients_per_site; ++c) {
-        clients.push_back(std::make_unique<core::MusicClient>(
-            sim, net, prefs(site), options.client, site));
+        group.add_client(site);
       }
     }
-  }
-
-  /// Replica preference order for a client at `site` (local first).
-  std::vector<core::MusicReplica*> prefs(int site) {
-    std::vector<core::MusicReplica*> v{replicas[static_cast<size_t>(site)].get()};
-    for (int i = 0; i < 3; ++i) {
-      if (i != site) v.push_back(replicas[static_cast<size_t>(i)].get());
-    }
-    return v;
   }
 
   core::MusicClient& client(size_t i) { return *clients.at(i); }
@@ -121,10 +114,11 @@ class MusicWorld {
   WorldOptions options;
   sim::Simulation sim;
   sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
+  core::MusicGroup group;
+  ds::StoreCluster& store = *group.store;
+  ls::LockStore& locks = *group.locks;
+  std::vector<std::unique_ptr<core::MusicReplica>>& replicas = group.replicas;
+  std::vector<std::unique_ptr<core::MusicClient>>& clients = group.clients;
   TaskRunner runner;
 };
 
