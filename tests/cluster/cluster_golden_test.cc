@@ -1,4 +1,4 @@
-// Determinism goldens for the SHARDED scenario runner.
+// Determinism goldens for the scenario runner's shards axis.
 //
 // A shards-axis sweep (music/mscp x shards 1,4 on the local profile) pinned
 // the same two ways as tests/scenario/scenario_golden_test.cc: every cell's
@@ -49,19 +49,19 @@ struct Golden {
   uint64_t checksum;
 };
 
-// Captured from the initial cluster layer; regenerate (see header comment)
-// when the sharded runner's semantics deliberately change.  The sh1 labels
-// carry no "/sh" segment and run the classic single-group path — pinning
-// them here guards the dispatch seam too.
+// Re-pinned when every music/mscp cell moved onto cluster::Cluster (the
+// sh1 rows now run one group; see scenario_golden_test.cc, which pins the
+// same sh1 checksums) and onto per-client rng streams.  Regenerate (see
+// header comment) when the runner's semantics deliberately change.
 constexpr Golden kGoldens[] = {
-    {"music/local/mix0/c3/s1", 0xaed5cfab1ed7a757ull},
-    {"music/local/mix0/c3/s2", 0xbf3c51e931abf63full},
-    {"music/local/mix0/c3/sh4/s1", 0xb35ae0e625343f1full},
-    {"music/local/mix0/c3/sh4/s2", 0x0b2cb9c1cca47c4bull},
-    {"mscp/local/mix0/c3/s1", 0xf2de149396a8e44dull},
-    {"mscp/local/mix0/c3/s2", 0x3e0d14c88037b288ull},
-    {"mscp/local/mix0/c3/sh4/s1", 0xceda97e2740ce4fdull},
-    {"mscp/local/mix0/c3/sh4/s2", 0x2618f74b676a9f0bull},
+    {"music/local/mix0/c3/s1", 0x72264f9ca033fd34ull},
+    {"music/local/mix0/c3/s2", 0xa589be71e371eec5ull},
+    {"music/local/mix0/c3/sh4/s1", 0x0e4a5e031e962ec5ull},
+    {"music/local/mix0/c3/sh4/s2", 0xbd414e7d38eda879ull},
+    {"mscp/local/mix0/c3/s1", 0xd63f5c227f3e53d6ull},
+    {"mscp/local/mix0/c3/s2", 0x4e12aa38309243e8ull},
+    {"mscp/local/mix0/c3/sh4/s1", 0xfa78cd5a908763e7ull},
+    {"mscp/local/mix0/c3/sh4/s2", 0x22b6287ebf61a0baull},
 };
 
 std::vector<CellOutcome> sweep(size_t threads) {
