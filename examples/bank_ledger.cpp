@@ -97,7 +97,7 @@ int main() {
   sim::spawn(w.s, [](ExampleWorld& world, bool& d) -> sim::Task<void> {
     std::vector<Key> keys;
     for (int i = 0; i < kAccounts; ++i) keys.push_back(account(i));
-    core::MultiKeySection init(*world.clients[0], keys);
+    core::MultiKeySection init(*world.group.clients[0], keys);
     co_await init.acquire_all();
     for (int i = 0; i < kAccounts; ++i) {
       co_await init.put(account(i), Value(std::to_string(kInitialBalance)));
@@ -109,9 +109,10 @@ int main() {
   if (!init_done) return 1;
 
   int completed = 0;
-  sim::spawn(w.s, teller(w, *w.clients[0], 0, sim::sec(40), 10, completed));
-  sim::spawn(w.s, teller(w, *w.clients[1], 1, 0, 10, completed));
-  sim::spawn(w.s, teller(w, *w.clients[2], 2, 0, 10, completed));
+  sim::spawn(w.s,
+             teller(w, *w.group.clients[0], 0, sim::sec(40), 10, completed));
+  sim::spawn(w.s, teller(w, *w.group.clients[1], 1, 0, 10, completed));
+  sim::spawn(w.s, teller(w, *w.group.clients[2], 2, 0, 10, completed));
   w.s.run_until(sim::sec(300));
 
   // Audit: conservation of money, observed through a fresh section.
@@ -120,7 +121,7 @@ int main() {
   sim::spawn(w.s, [](ExampleWorld& world, int& sum, bool& d) -> sim::Task<void> {
     std::vector<Key> keys;
     for (int i = 0; i < kAccounts; ++i) keys.push_back(account(i));
-    core::MultiKeySection cs(*world.clients[1], keys);
+    core::MultiKeySection cs(*world.group.clients[1], keys);
     auto st = co_await cs.acquire_all();
     if (!st.ok()) co_return;
     sum = 0;
@@ -129,7 +130,7 @@ int main() {
       if (g.ok()) sum += std::stoi(g.value().data);
     }
     co_await cs.release_all();
-    recipes::AtomicCounter audit(*world.clients[1], "audit-log");
+    recipes::AtomicCounter audit(*world.group.clients[1], "audit-log");
     auto n = co_await audit.get();
     std::printf("\naudit: %lld transfers logged, total balance %d "
                 "(expected %d)\n",

@@ -94,9 +94,9 @@ struct TopologyBlock {
   int holder_site = -1;
   /// Store replicas, interleaved across the 3 sites.
   int store_nodes = 3;
-  /// Consistent-hash shard counts (cluster layer); sweep axis.  1 = the
-  /// classic single-group world; > 1 builds a cluster::Cluster with one
-  /// MUSIC group per shard (music/mscp only).
+  /// Consistent-hash shard counts of the cluster::Cluster every music/mscp
+  /// cell runs on, one MUSIC group per shard; sweep axis.  > 1 is
+  /// music/mscp only.
   std::vector<int> shards{1};
   /// Mixed-version fleets (rolling upgrades); sweep axis.  Each entry is a
   /// colon-separated per-site max wire version, e.g. "1:2:2" = site 0 runs
