@@ -178,30 +178,31 @@ inline MainLaneAwaiter on_main_lane(Simulation& sim) {
 }
 
 /// Awaits `f`, giving up after `timeout`.  Returns the value, or nullopt on
-/// timeout.  A late fulfilment after timeout is ignored safely.
+/// timeout.  A late fulfilment after timeout is ignored safely.  The timer
+/// is cancelled once the wait ends, so it does not keep `done` (and the
+/// value copied into it) alive until the deadline; a cancel from another
+/// PDES lane is a no-op, and the timer then fires and finds `done` set.
 template <typename T>
 Task<std::optional<T>> await_with_timeout(Simulation& sim, Future<T> f,
                                           Duration timeout) {
   Promise<std::optional<T>> done(sim);
-  auto fired = std::make_shared<bool>(false);
-  f.on_value([done, fired](const T& v) {
-    if (*fired) return;
-    *fired = true;
-    done.set_value(v);
+  f.on_value([done](const T& v) {
+    if (!done.fulfilled()) done.set_value(v);
   });
-  sim.schedule(timeout, [done, fired] {
-    if (*fired) return;
-    *fired = true;
-    done.set_value(std::nullopt);
+  EventId timer = sim.schedule(timeout, [done] {
+    if (!done.fulfilled()) done.set_value(std::nullopt);
   });
-  co_return co_await done.future();
+  std::optional<T> r = co_await done.future();
+  sim.cancel(timer);
+  co_return r;
 }
 
 /// Awaits at least `want` of the given futures, or gives up at `timeout`
 /// (pass kTimeNever to wait unboundedly — only when fulfilment of `want` of
 /// them is guaranteed).  Returns however many values arrived by then (in
 /// arrival order): size() >= want means the quorum was reached.  This is the
-/// primitive behind quorum reads/writes and consensus vote collection.
+/// primitive behind quorum reads/writes and consensus vote collection.  As in
+/// await_with_timeout(), the timer is cancelled once the wait ends.
 template <typename T>
 Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
                                  size_t want, Duration timeout) {
@@ -211,6 +212,7 @@ Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
   };
   auto g = std::make_shared<Gather>();
   Promise<std::vector<T>> result(sim);
+  EventId timer;
   if (want == 0 || fs.empty()) {
     result.set_value({});
   } else {
@@ -225,14 +227,16 @@ Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
       });
     }
     if (timeout != kTimeNever) {
-      sim.schedule(timeout, [g, result] {
+      timer = sim.schedule(timeout, [g, result] {
         if (g->done) return;
         g->done = true;
         result.set_value(g->got);
       });
     }
   }
-  co_return co_await result.future();
+  std::vector<T> got = co_await result.future();
+  sim.cancel(timer);
+  co_return got;
 }
 
 /// Awaits all futures (no timeout).  Use only when fulfilment is guaranteed.

@@ -26,6 +26,14 @@
 // allocation, the const_cast move-out-of-top idiom, and the O(log n)
 // comparison cascade on the hot path.
 //
+// Cancellation: schedule()/schedule_at() return an EventId, and cancel(id)
+// destroys the event's captures at once.  A far-heap event also gives its
+// arena slot back; its 24-byte heap entry stays as a tombstone that pops at
+// the event's time as an empty event, and a cancelled wheel event runs as
+// an empty callable.  Either way the clock, events_run() and pending() move
+// exactly as if the event had run, so cancelling never perturbs a seeded
+// schedule.
+//
 // Conservative PDES (opt-in, enable_pdes): the event space is partitioned
 // into per-site lanes — each lane a full wheel + far-heap + arena kernel of
 // its own — plus the main lane (lane of record for setup, workload drivers
@@ -64,6 +72,15 @@ class Tracer;
 namespace music::sim {
 
 class Simulation;
+
+/// Handle to a scheduled event, returned by Simulation::schedule() and
+/// schedule_at() for a later Simulation::cancel().  Discardable: most
+/// callers never cancel.  A default-constructed id names no event.
+struct EventId {
+  int32_t lane = -1;
+  uint32_t slot = UINT32_MAX;
+  uint64_t seq = UINT64_MAX;
+};
 
 namespace detail {
 /// The simulation (and event lane, under PDES) currently executing an
@@ -158,6 +175,7 @@ class Simulation {
     site_lanes_.reserve(static_cast<size_t>(opt.sites));
     for (int s = 0; s < opt.sites; ++s) {
       auto lane = std::make_unique<Lane>();
+      lane->id_ = s;
       lane->now_ = main_.now_;
       // Per-lane random streams, forked deterministically from the root so
       // model code drawing from rng() on a lane never races or perturbs
@@ -188,15 +206,17 @@ class Simulation {
 
   /// Schedules `fn` to run `delay` microseconds from now (delay < 0 is
   /// treated as 0) on the current lane.  Events scheduled for the same
-  /// instant run in scheduling order.
-  void schedule(Duration delay, InlineFn fn) {
+  /// instant run in scheduling order.  The returned id may be passed to
+  /// cancel(), or ignored.
+  EventId schedule(Duration delay, InlineFn fn) {
     Lane& L = exec_lane();
-    schedule_lane_at(L, L.now_ + (delay > 0 ? delay : 0), std::move(fn));
+    return schedule_lane_at(L, L.now_ + (delay > 0 ? delay : 0),
+                            std::move(fn));
   }
 
   /// Schedules `fn` at absolute simulated time `t` (clamped to >= now).
-  void schedule_at(Time t, InlineFn fn) {
-    schedule_lane_at(exec_lane(), t, std::move(fn));
+  EventId schedule_at(Time t, InlineFn fn) {
+    return schedule_lane_at(exec_lane(), t, std::move(fn));
   }
 
   /// Lambda overloads: the callable is constructed directly in its arena
@@ -207,18 +227,45 @@ class Simulation {
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_v<std::decay_t<F>&>>>
-  void schedule(Duration delay, F&& f) {
+  EventId schedule(Duration delay, F&& f) {
     Lane& L = exec_lane();
-    schedule_lane_at_emplace(L, L.now_ + (delay > 0 ? delay : 0),
-                             std::forward<F>(f));
+    return schedule_lane_at_emplace(L, L.now_ + (delay > 0 ? delay : 0),
+                                    std::forward<F>(f));
   }
 
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_v<std::decay_t<F>&>>>
-  void schedule_at(Time t, F&& f) {
-    schedule_lane_at_emplace(exec_lane(), t, std::forward<F>(f));
+  EventId schedule_at(Time t, F&& f) {
+    return schedule_lane_at_emplace(exec_lane(), t, std::forward<F>(f));
+  }
+
+  /// Cancels a pending event: its callback's captures are destroyed at
+  /// once and it never runs.  The event still occupies its place in the
+  /// schedule as an empty event — it advances the clock and counts in
+  /// events_run() and pending() exactly as the callback would have — so a
+  /// cancel changes memory, never the order or timing of anything else.
+  ///
+  /// A no-op when the event already ran or is running (its slot no longer
+  /// carries `id.seq`), and when called from a lane other than the event's:
+  /// under PDES that lane may be executing concurrently, so the event is
+  /// left to run; callbacks must therefore tolerate running after a cancel
+  /// from another lane.
+  void cancel(EventId id) {
+    Lane& L = exec_lane();
+    if (id.lane != L.id_ || id.slot >= L.slot_count_) return;
+    EventSlot& s = L.slot_ref(id.slot);
+    if (s.seq != id.seq) return;
+    if (s.far) {
+      // The heap entry's seq no longer matches the slot: a tombstone.
+      s.fn.reset();
+      s.seq = kNoSeq;
+      L.release_slot(id.slot);
+    } else {
+      // The slot stays linked in its wheel bucket until it pops.
+      s.fn.emplace([] {});
+    }
   }
 
   /// Schedules `fn` at absolute time `t` on site `site`'s lane (PDES only).
@@ -346,6 +393,14 @@ class Simulation {
     return n;
   }
 
+  /// Event slots the arenas have ever handed out, summed across lanes
+  /// (diagnostics): the high-water mark of events pending at once.
+  size_t arena_slots() const {
+    size_t n = main_.slot_count_;
+    for (const auto& L : site_lanes_) n += L->slot_count_;
+    return n;
+  }
+
   /// The current lane's random stream (the root stream in classic mode and
   /// on the main lane; a deterministic per-site fork on site lanes).
   Rng& rng() { return exec_lane().rng_; }
@@ -380,13 +435,16 @@ class Simulation {
 
   /// Pooled event payload.  `next` threads the slot through whichever list
   /// currently owns it: a wheel bucket's FIFO while queued, the freelist
-  /// while vacant (fn is empty then).
+  /// while vacant (fn is empty then).  `seq` is the queued event's seq, and
+  /// kNoSeq once it runs or is vacant, so stale EventIds and far-heap
+  /// tombstones never match it.  `far` records which structure holds it.
   struct EventSlot {
     InlineFn fn;
     Time at = 0;
-    uint64_t seq = 0;
+    uint64_t seq = kNoSeq;
     uint64_t ctx = 0;
     uint32_t next = kNoSlot;
+    bool far = false;
   };
 
   /// A cross-lane event buffered during a window, merged at the barrier.
@@ -402,6 +460,9 @@ class Simulation {
   static constexpr int kMainLane = -1;
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// pop_next_slot()'s result for a cancelled far event (see Lane::tomb_at_).
+  static constexpr uint32_t kTombstone = UINT32_MAX - 1;
+  static constexpr uint64_t kNoSeq = UINT64_MAX;
   static constexpr uint32_t kNoTick = UINT32_MAX;
   static constexpr size_t kArity = 8;
   static constexpr size_t kInitialCapacity = 256;
@@ -437,6 +498,8 @@ class Simulation {
   /// lane to one worker per window, and the par::Pool barrier publishes
   /// all lane state between windows.
   struct Lane {
+    /// Site index, or kMainLane; an EventId names its lane by this.
+    int id_ = kMainLane;
     Time now_ = 0;
     uint64_t next_seq_ = 0;
     uint64_t events_run_ = 0;
@@ -457,6 +520,8 @@ class Simulation {
     /// enqueue (an earlier bucket may have filled), on emptying the cached
     /// bucket, and on clock movement (the scan origin changes).
     uint32_t cached_tick_ = kNoTick;
+    /// Timestamp of the tombstone pop_next_slot() last returned.
+    Time tomb_at_ = 0;
     std::vector<Mail> outbox_;
 
     Lane() : wheel_(kWheelTicks) {
@@ -512,7 +577,9 @@ class Simulation {
         }
         ++wheel_count_;
         cached_tick_ = kNoTick;
+        s.far = false;
       } else {
+        s.far = true;
         heap_.push_back(HeapEntry{t, s.seq, slot});
         sift_up(heap_.size() - 1);
       }
@@ -535,14 +602,27 @@ class Simulation {
       return cached_tick_;
     }
 
+    /// Removes the far-heap root and returns its slot, or kTombstone (with
+    /// tomb_at_ set) when the event was cancelled: its slot was vacated,
+    /// perhaps reused, and no longer carries the entry's seq.
+    uint32_t pop_heap() {
+      const HeapEntry& f = heap_.front();
+      uint32_t slot = f.slot;
+      if (slot_ref(slot).seq != f.seq) {
+        tomb_at_ = f.at;
+        slot = kTombstone;
+      }
+      pop_root();
+      return slot;
+    }
+
     /// Removes and returns the next slot in (at, seq) order across both the
-    /// wheel and the far heap; kNoSlot when nothing is pending.
+    /// wheel and the far heap; kNoSlot when nothing is pending, kTombstone
+    /// for a cancelled far event.
     uint32_t pop_next_slot() {
       if (wheel_count_ == 0) {
         if (heap_.empty()) return kNoSlot;
-        uint32_t slot = heap_.front().slot;
-        pop_root();
-        return slot;
+        return pop_heap();
       }
       uint32_t tick = find_next_bucket();
       Bucket& bk = wheel_[tick];
@@ -554,9 +634,7 @@ class Simulation {
         // advanced to within a window of it; equal timestamps fall back to
         // seq.
         if (f.at < ws.at || (f.at == ws.at && f.seq < ws.seq)) {
-          uint32_t slot = f.slot;
-          pop_root();
-          return slot;
+          return pop_heap();
         }
       }
       bk.head = ws.next;
@@ -633,31 +711,42 @@ class Simulation {
     return e.sim == this ? *static_cast<const Lane*>(e.lane) : main_;
   }
 
-  void schedule_lane_at(Lane& L, Time t, InlineFn fn) {
+  EventId schedule_lane_at(Lane& L, Time t, InlineFn fn) {
     if (t < L.now_) t = L.now_;
     uint32_t slot = L.acquire_slot();
     EventSlot& s = L.slot_ref(slot);
     s.fn = std::move(fn);
     s.ctx = L.trace_ctx_;
     L.enqueue(t, slot, s);
+    return EventId{L.id_, slot, s.seq};
   }
 
   template <typename F>
-  void schedule_lane_at_emplace(Lane& L, Time t, F&& f) {
+  EventId schedule_lane_at_emplace(Lane& L, Time t, F&& f) {
     if (t < L.now_) t = L.now_;
     uint32_t slot = L.acquire_slot();
     EventSlot& s = L.slot_ref(slot);
     s.fn.emplace(std::forward<F>(f));
     s.ctx = L.trace_ctx_;
     L.enqueue(t, slot, s);
+    return EventId{L.id_, slot, s.seq};
   }
 
   /// Executes one popped slot on lane L (clock jump, trace context,
-  /// in-place run, slot release).
+  /// in-place run, slot release).  A tombstone only moves the clock and
+  /// counts, as the cancelled event would have.
   void run_slot(Lane& L, uint32_t slot) {
+    if (slot == kTombstone) {
+      L.advance_clock(L.tomb_at_);
+      ++L.events_run_;
+      if (L.run_depth_ == 0) L.trace_ctx_ = 0;
+      return;
+    }
     EventSlot& s = L.slot_ref(slot);
     L.advance_clock(s.at);
     ++L.events_run_;
+    // From here on cancel() must not touch the running callback.
+    s.seq = kNoSeq;
     // Restore the trace context that was active when this event was
     // scheduled, so span attribution follows the causal chain through
     // coroutine resumptions, future fulfilments and network deliveries.

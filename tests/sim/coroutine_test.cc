@@ -203,6 +203,64 @@ TEST(AwaitCount, ZeroWantedResolvesImmediately) {
   EXPECT_TRUE(got.empty());
 }
 
+/// A reply value that counts its live instances, to see who holds one.
+struct Counted {
+  static int live;
+  int v = 0;
+  explicit Counted(int x) : v(x) { ++live; }
+  Counted(const Counted& o) : v(o.v) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --live; }
+};
+int Counted::live = 0;
+
+// Once a wait ends and its caller drops the value, nothing may still hold a
+// copy: in particular not the timeout timer, whose deadline is far off.
+TEST(Timeout, FinishedWaitHoldsNoCopyOfTheValue) {
+  Counted::live = 0;
+  Simulation s;
+  bool done = false;
+  {
+    Promise<Counted> p(s);
+    spawn(s, [](Simulation& sm, Future<Counted> f, bool& d) -> Task<void> {
+      std::optional<Counted> r = co_await await_with_timeout(sm, f, sec(6));
+      EXPECT_TRUE(r.has_value() && r->v == 5);
+      d = true;
+    }(s, p.future(), done));
+    s.schedule(ms(1), [p] { p.set_value(Counted(5)); });
+  }
+  s.run_until(ms(10));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(Counted::live, 0);
+  s.run_until_idle();
+  EXPECT_EQ(s.now(), sec(6));  // the cancelled timer still pops at its time
+}
+
+TEST(AwaitCount, FinishedWaitHoldsNoCopyOfTheValues) {
+  Counted::live = 0;
+  Simulation s;
+  size_t got = 0;
+  {
+    std::vector<Promise<Counted>> ps;
+    std::vector<Future<Counted>> fs;
+    for (int i = 0; i < 3; ++i) {
+      ps.emplace_back(s);
+      fs.push_back(ps.back().future());
+      s.schedule(ms(i + 1), [p = ps.back(), i] { p.set_value(Counted(i)); });
+    }
+    spawn(s, [](Simulation& sm, std::vector<Future<Counted>> f,
+                size_t& n) -> Task<void> {
+      n = (co_await await_count<Counted>(sm, std::move(f), 2, ms(1500)))
+              .size();
+    }(s, std::move(fs), got));
+  }
+  s.run_until(ms(10));
+  EXPECT_EQ(got, 2u);
+  EXPECT_EQ(Counted::live, 0);
+  s.run_until_idle();
+  EXPECT_EQ(s.now(), ms(1500));
+}
+
 TEST(AwaitAll, WaitsForEverything) {
   Simulation s;
   std::vector<Promise<Unit>> ps;

@@ -6,7 +6,9 @@
 //  - engine unit tests on a bare Simulation (window math, cross-lane mail
 //    ordering, main-lane solo execution, schedule_main_at hops);
 //  - a synthetic worker-count-invariance fingerprint (per-lane rng draws
-//    and randomized cross-lane sends);
+//    and randomized cross-lane sends), and timer cancellation from the
+//    event's own lane and from another one, at the kernel and through the
+//    sim/future.h wait primitives;
 //  - determinism goldens: the full MUSIC deployment from
 //    sim/determinism_golden_test.cc on the lUsEu WAN profile, fingerprints
 //    pinned and asserted identical at 1/2/4/8 shard workers.  PDES worlds
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,8 +30,10 @@
 #include <vector>
 
 #include "core/client.h"
+#include "sim/future.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
+#include "sim/task.h"
 #include "util/world.h"
 #include "verify/oracle.h"
 
@@ -215,6 +220,121 @@ TEST(PdesEngine, SyntheticFingerprintIsWorkerCountInvariant) {
   uint64_t one = synthetic_fingerprint(1);
   EXPECT_EQ(one, synthetic_fingerprint(2));
   EXPECT_EQ(one, synthetic_fingerprint(4));
+}
+
+// ---- Cancellation across lanes. ---------------------------------------------
+
+TEST(PdesEngine, CancelWorksOnTheEventsLaneOnly) {
+  sim::Simulation sim(9);
+  constexpr sim::Duration kLook = sim::us(50);
+  sim.enable_pdes(pdes(2, 2, kLook));
+  // Both targets are far-heap events on lane 0.  Lane 0 cancels one; lane 1
+  // tries to cancel the other, which would race lane 0's worker, so that
+  // cancel is a no-op and the event runs.
+  std::atomic<int> ran{0};
+  sim.schedule_site_at(0, sim::us(10), [&] {
+    sim::EventId mine = sim.schedule(sim::sec(1), [&ran] { ran += 1; });
+    sim::EventId theirs = sim.schedule(sim::sec(1), [&ran] { ran += 10; });
+    sim.schedule(sim::us(20), [&sim, mine] { sim.cancel(mine); });
+    sim.schedule_site_at(1, sim.now() + kLook,
+                         [&sim, theirs] { sim.cancel(theirs); });
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(ran.load(), 10);
+  // The cancelled timer still popped, as a tombstone: 5 events in all.
+  EXPECT_EQ(sim.events_run(), 5u);
+}
+
+/// A reply value counting its live instances across every lane.
+struct Held {
+  static std::atomic<int> live;
+  int v = 0;
+  explicit Held(int x) : v(x) { ++live; }
+  Held(const Held& o) : v(o.v) { ++live; }
+  Held& operator=(const Held&) = default;
+  ~Held() { --live; }
+};
+std::atomic<int> Held::live{0};
+
+/// One timed wait; `log` belongs to the lane the wait ends on.
+sim::Task<void> timed_wait(sim::Simulation& sim, sim::Future<Held> f,
+                           bool quorum, Fnv& log) {
+  int v = -1;
+  if (quorum) {
+    std::vector<sim::Future<Held>> fs(1, f);
+    std::vector<Held> got =
+        co_await sim::await_count<Held>(sim, std::move(fs), 1, sim::sec(1));
+    if (!got.empty()) v = got[0].v;
+  } else {
+    std::optional<Held> got =
+        co_await sim::await_with_timeout(sim, f, sim::sec(1));
+    if (got) v = got->v;
+  }
+  log.mix(static_cast<uint64_t>(sim.now()));
+  log.mix(static_cast<uint64_t>(v));
+}
+
+struct CrossLaneWaits {
+  uint64_t fingerprint;
+  int live_before_deadlines;
+  int live_after;
+};
+
+/// Every lane starts 8 waits, alternating await_with_timeout and
+/// await_count.  Half are fulfilled on the waiting lane, so the wait ends
+/// there and cancels its timer; the other half are fulfilled on the next
+/// lane, where the wait then ends and its cancel is a no-op.
+CrossLaneWaits cross_lane_waits(size_t workers) {
+  constexpr int kSites = 4;
+  constexpr sim::Duration kLook = sim::us(50);
+  sim::Simulation sim(21);
+  sim.enable_pdes(pdes(kSites, workers, kLook));
+  std::array<Fnv, kSites> logs;
+  Held::live = 0;
+  for (int s = 0; s < kSites; ++s) {
+    for (int i = 0; i < 8; ++i) {
+      sim.schedule_site_at(s, sim::us(10 * i + s), [&, s, i] {
+        sim::Promise<Held> p(sim);
+        bool cross = (i / 2) % 2 == 1;
+        int end = cross ? (s + 1) % kSites : s;
+        sim::spawn(sim, timed_wait(sim, p.future(), i % 2 == 1,
+                                   logs[static_cast<size_t>(end)]));
+        int v = 100 * s + i;
+        if (cross) {
+          sim.schedule_site_at(end, sim.now() + kLook + i,
+                               [p, v] { p.set_value(Held(v)); });
+        } else {
+          sim.schedule(sim::us(5 + i), [p, v] { p.set_value(Held(v)); });
+        }
+      });
+    }
+  }
+  sim.run_until(sim::ms(100));  // every wait ended, no deadline reached
+  CrossLaneWaits out{};
+  out.live_before_deadlines = Held::live.load();
+  sim.run_until_idle();
+  out.live_after = Held::live.load();
+  Fnv fp;
+  for (const Fnv& l : logs) fp.mix(l.h);
+  fp.mix(sim.events_run());
+  fp.mix(static_cast<uint64_t>(sim.now()));
+  out.fingerprint = fp.h;
+  return out;
+}
+
+TEST(PdesFuture, TimersCancelOnTheirOwnLaneAndAreWorkerCountInvariant) {
+  CrossLaneWaits one = cross_lane_waits(1);
+  // Only the cross-lane waits' timers still hold values: per lane, two
+  // await_with_timeout (one copy in `done`) and two await_count (one in
+  // the gather, one in the result).  Same-lane waits hold none.
+  EXPECT_EQ(one.live_before_deadlines, 4 * (2 * 1 + 2 * 2));
+  EXPECT_EQ(one.live_after, 0);
+  for (size_t w : {size_t{2}, size_t{4}}) {
+    CrossLaneWaits other = cross_lane_waits(w);
+    EXPECT_EQ(other.fingerprint, one.fingerprint) << "workers " << w;
+    EXPECT_EQ(other.live_before_deadlines, one.live_before_deadlines);
+    EXPECT_EQ(other.live_after, 0);
+  }
 }
 
 // ---- Determinism goldens: the full MUSIC stack under PDES. -----------------

@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event kernel: ordering, clock advancement,
-// determinism, event payload lifecycle.
+// determinism, event payload lifecycle, cancellation.
 #include "sim/simulation.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -260,6 +262,128 @@ TEST(Simulation, StressOrderingMatchesReferenceModel) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(ran[i], expected[i].id) << "at index " << i;
   }
+}
+
+// ---- Cancellation ----------------------------------------------------------
+
+TEST(SimulationCancel, DestroysCapturesAtOnce) {
+  Simulation s;
+  auto held = std::make_shared<int>(7);
+  bool ran = false;
+  EventId far = s.schedule(sec(6), [held, &ran] { ran = true; });
+  EventId near = s.schedule(us(10), [held, &ran] { ran = true; });
+  EXPECT_EQ(held.use_count(), 3);
+  s.cancel(far);
+  EXPECT_EQ(held.use_count(), 2);  // far-heap event: slot freed as well
+  s.cancel(near);
+  EXPECT_EQ(held.use_count(), 1);  // wheel event: emptied in its bucket
+  s.run_until_idle();
+  EXPECT_FALSE(ran);
+}
+
+/// Delays of a mixed schedule: wheel residents, far-heap residents, and
+/// both sides of the frontier.
+constexpr Duration kMixedDelays[] = {
+    us(5),  sec(6), us(900), ms(3),  us(0),  sec(2), us(40),  ms(50),
+    us(2047), us(2048), sec(6), us(1), ms(7), sec(9), us(300)};
+constexpr Duration kCancelAt = ms(1);
+
+/// Runs the kMixedDelays schedule; when `cancel` is set, an event at
+/// kCancelAt cancels every third id.  Returns the ids that ran.
+std::vector<int> run_mixed_schedule(Simulation& s, bool cancel) {
+  std::vector<int> ran;
+  std::vector<EventId> ids;
+  for (int i = 0; i < static_cast<int>(std::size(kMixedDelays)); ++i) {
+    ids.push_back(
+        s.schedule(kMixedDelays[i], [&ran, i] { ran.push_back(i); }));
+  }
+  // A later event cancels from inside the loop, after the clock moved.
+  s.schedule(kCancelAt, [&] {
+    if (cancel) {
+      for (size_t i = 0; i < ids.size(); i += 3) s.cancel(ids[i]);
+    }
+  });
+  s.run_until_idle();
+  return ran;
+}
+
+TEST(SimulationCancel, ScheduleShapeIsThatOfTheUncancelledRun) {
+  Simulation plain(3);
+  std::vector<int> all = run_mixed_schedule(plain, false);
+  Simulation cancelled(3);
+  std::vector<int> kept = run_mixed_schedule(cancelled, true);
+
+  // Cancelled events still pop as empty events at their time, so the event
+  // count and the clock where run_until_idle stops are unchanged.
+  EXPECT_EQ(cancelled.events_run(), plain.events_run());
+  EXPECT_EQ(cancelled.now(), plain.now());
+  EXPECT_EQ(cancelled.now(), sec(9));  // the last event (id 13) survives
+
+  // Survivors run in the same relative order.  Ids 0 and 6 ran before the
+  // cancelling event; for them the cancel is a no-op.
+  std::vector<int> expect;
+  for (int id : all) {
+    if (id % 3 != 0 || kMixedDelays[id] < kCancelAt) expect.push_back(id);
+  }
+  EXPECT_EQ(kept, expect);
+  EXPECT_EQ(kept.size(), all.size() - 3);  // ids 3, 9 and 12
+}
+
+TEST(SimulationCancel, CancelAfterTheEventRanIsANoOp) {
+  Simulation s;
+  auto held = std::make_shared<int>(1);
+  int runs = 0;
+  EventId self;
+  self = s.schedule(us(10), [&, held] {
+    // Cancelling the running event must not destroy its own captures.
+    s.cancel(self);
+    EXPECT_EQ(held.use_count(), 2);
+    ++runs;
+  });
+  s.run_until_idle();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(held.use_count(), 1);
+  s.cancel(self);  // long gone
+  s.cancel(EventId{});  // names no event
+  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.events_run(), 1u);
+}
+
+TEST(SimulationCancel, StaleIdLeavesTheSlotsNextEventAlone) {
+  Simulation s;
+  int far_runs = 0;
+  int near_runs = 0;
+  // Far event cancelled: its slot is reused by the next schedule.
+  EventId a = s.schedule(sec(6), [&] { far_runs += 100; });
+  s.cancel(a);
+  EventId b = s.schedule(sec(6), [&] { ++far_runs; });
+  ASSERT_EQ(a.slot, b.slot);
+  s.cancel(a);  // stale: must not touch b
+  // Near event that ran: its slot is reused likewise.
+  EventId c = s.schedule(us(1), [] {});
+  s.run_until(us(1));
+  EventId d = s.schedule(us(1), [&] { ++near_runs; });
+  ASSERT_EQ(c.slot, d.slot);
+  s.cancel(c);
+  s.run_until_idle();
+  EXPECT_EQ(far_runs, 1);
+  EXPECT_EQ(near_runs, 1);
+}
+
+TEST(SimulationCancel, FarScheduleCancelCyclesReuseOneSlot) {
+  Simulation s;
+  constexpr int kCycles = 100000;
+  for (int i = 0; i < kCycles; ++i) {
+    auto held = std::make_shared<int>(i);
+    s.cancel(s.schedule(sec(6) + i, [held] {}));
+  }
+  // Every cancel gave its slot back, so the arena never grew past the
+  // first slot; only the 24-byte heap tombstones remain queued.
+  EXPECT_EQ(s.arena_slots(), 1u);
+  EXPECT_EQ(s.pending(), static_cast<size_t>(kCycles));
+  EXPECT_EQ(s.run_until_idle(), static_cast<size_t>(kCycles));
+  EXPECT_EQ(s.now(), sec(6) + kCycles - 1);
+  EXPECT_EQ(s.arena_slots(), 1u);
 }
 
 }  // namespace

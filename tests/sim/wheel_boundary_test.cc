@@ -12,7 +12,11 @@
 //    inside the new wheel window; freshly wheeled events behind it must not
 //    overtake it;
 //  - the cached next-bucket scan (memoised between next_event_at() and the
-//    pop) is invalidated by an earlier enqueue and by clock movement.
+//    pop) is invalidated by an earlier enqueue and by clock movement;
+//  - a cancelled event on either side of the frontier still pops at its
+//    time (wheel: as an empty callable; far heap: as a tombstone whose slot
+//    was already freed), including when the tombstone is the far-heap front
+//    compared against a wheel head.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -131,6 +135,54 @@ TEST(WheelBoundary, DenseBucketsAroundFrontierKeepTimestampOrder) {
     EXPECT_LE(fired[i - 1], fired[i]) << "out of order at index " << i;
   }
   EXPECT_EQ(fired.back(), kTicks + 3);
+}
+
+TEST(WheelBoundary, CancelledWheelEventPopsEmptyAtItsTime) {
+  Simulation sim(1);
+  std::vector<int> order;
+  EventId last = sim.schedule(kTicks - 1, [&] { order.push_back(2); });
+  sim.schedule(us(3), [&] { order.push_back(1); });
+  sim.cancel(last);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), kTicks - 1);
+  EXPECT_EQ(sim.events_run(), 2u);
+}
+
+TEST(WheelBoundary, CancelledEventAtExactlyWheelTicksIsATombstone) {
+  Simulation sim(1);
+  std::vector<int> order;
+  EventId edge = sim.schedule(kTicks, [&] { order.push_back(3); });  // heap
+  sim.schedule(kTicks - 1, [&] { order.push_back(2); });             // wheel
+  sim.schedule(kTicks + 1, [&] { order.push_back(4); });             // heap
+  sim.cancel(edge);
+  // The freed slot is reused straight away; the tombstone must not run it.
+  sim.schedule(us(0), [&] { order.push_back(1); });
+  EXPECT_EQ(sim.arena_slots(), 3u);
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(sim.now(), kTicks + 1);
+  EXPECT_EQ(sim.events_run(), 4u);
+}
+
+TEST(WheelBoundary, TombstoneAtHeapFrontBeatsSameTimeWheelHead) {
+  Simulation sim(1);
+  std::vector<int> order;
+  // Cancelled far event at t = kTicks (lower seq than anything below).
+  EventId far = sim.schedule(kTicks, [&] { order.push_back(0); });
+  sim.schedule(us(1), [&] {
+    sim.cancel(far);
+    // now = 1: both land in the wheel, at and just past the tombstone.
+    sim.schedule_at(kTicks, [&] { order.push_back(1); });
+    sim.schedule_at(kTicks + 1, [&] { order.push_back(2); });
+  });
+  sim.run_until(kTicks);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.events_run(), 3u);  // the t=1 event, the tombstone, id 1
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.events_run(), 4u);
 }
 
 }  // namespace
