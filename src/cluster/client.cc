@@ -110,13 +110,7 @@ sim::Task<Result<Value>> Client::critical_get(Key key, LockRef ref) {
   if (!g.ok()) co_return Result<Value>::Err(OpStatus::WrongShard);
   auto r = co_await g.client->critical_get(key, ref);
   cluster_.complete(g.shard);
-  if (checker_ != nullptr) {
-    if (r.ok()) {
-      checker_->on_get_ok(key, ref, r.value());
-    } else if (r.status() == OpStatus::NotFound) {
-      checker_->on_get_not_found(key, ref);
-    }
-  }
+  if (checker_ != nullptr) checker_->on_get(key, ref, r);
   co_return r;
 }
 
@@ -135,39 +129,16 @@ sim::Task<std::vector<core::BatchOpResult>> Client::execute_batch(
     co_return std::vector<core::BatchOpResult>(
         ops.size(), core::BatchOpResult(OpStatus::WrongShard));
   }
-  if (checker_ != nullptr) {
-    // Mirrors verify::CheckedClient::flush: every Put in the batch is an
-    // attempt the moment the (admitted) batch ships.
-    for (const core::BatchOp& op : ops) {
-      if (op.kind == core::BatchOp::Kind::Put) {
-        checker_->on_put_attempt(op.key, ref, op.value);
-      }
-    }
-  }
+  if (checker_ != nullptr) checker_->on_batch_sent(ref, ops);
   auto results = co_await g.client->execute_batch(key, ref, ops);
   cluster_.complete(g.shard);
-  if (checker_ != nullptr) {
-    for (size_t i = 0; i < results.size() && i < ops.size(); ++i) {
-      const core::BatchOp& op = ops[i];
-      const core::BatchOpResult& r = results[i];
-      if (op.kind == core::BatchOp::Kind::Put && r.status == OpStatus::Ok) {
-        checker_->on_put_acked(op.key, ref, op.value);
-      } else if (op.kind == core::BatchOp::Kind::Get) {
-        if (r.status == OpStatus::Ok) {
-          checker_->on_get_ok(op.key, ref, r.value);
-        } else if (r.status == OpStatus::NotFound) {
-          checker_->on_get_not_found(op.key, ref);
-        }
-      }
-    }
-  }
+  if (checker_ != nullptr) checker_->on_batch_done(ref, ops, results);
   co_return results;
 }
 
 sim::Task<Status> Client::release_lock(Key key, LockRef ref) {
-  // Reported on entry (as verify::CheckedClient does): once release is
-  // initiated the client must no longer rely on holding the lock, whatever
-  // the wire outcome.
+  // Reported on entry: once release is initiated the client must no longer
+  // rely on holding the lock, whatever the wire outcome.
   if (checker_ != nullptr) checker_->on_released(key, ref);
   RouteGrant g = co_await admit_route(key);
   if (!g.ok()) co_return Status::Err(OpStatus::WrongShard);
@@ -235,54 +206,21 @@ sim::Task<Result<std::vector<Key>>> Client::get_all_keys(Key prefix) {
 
 // ---- Batch ------------------------------------------------------------------
 
-Batch::Batch(Client& client) : client_(client), sim_(client.sim_) {}
-
-size_t Batch::enqueue(core::BatchOp op) {
-  if (flushed_) {
-    ops_.clear();
-    results_.clear();
-    flushed_ = false;
-  }
-  ops_.push_back(std::move(op));
-  return ops_.size() - 1;
-}
-
-size_t Batch::put(Key key, Value value) {
-  core::BatchOp op(core::BatchOp::Kind::Put, std::move(key), std::move(value));
-  return enqueue(std::move(op));
-}
-
-size_t Batch::get(Key key) {
-  core::BatchOp op(core::BatchOp::Kind::Get, std::move(key), Value{});
-  return enqueue(std::move(op));
-}
-
-size_t Batch::del(Key key) {
-  core::BatchOp op(core::BatchOp::Kind::Delete, std::move(key), Value{});
-  return enqueue(std::move(op));
-}
-
 sim::Task<void> Batch::run_shard(Client* c, ShardBatch* sb,
                                  sim::Promise<sim::Unit> done) {
-  // One critical section per shard, keyed on the slice's first key: lock,
-  // ship the slice through the PR 3 batch pipeline, release.  Every step
-  // is cluster-routed, so a shard move mid-flush re-routes transparently.
-  const Key& lock_key = sb->ops.front().key;
-  auto ref = co_await c->create_lock_ref(lock_key);
-  if (!ref.ok()) {
-    sb->results.assign(sb->ops.size(), core::BatchOpResult(ref.status()));
-    done.set_value(sim::Unit{});
-    co_return;
-  }
-  Status acq = co_await c->acquire_lock_blocking(lock_key, ref.value());
-  if (!acq.ok()) {
-    co_await c->remove_lock_ref(lock_key, ref.value());
+  // Every step is cluster-routed, so a shard move mid-flush re-routes
+  // transparently.
+  core::CriticalSection cs(*c, sb->ops.front().key);
+  Status acq = co_await cs.enter();
+  if (acq.ok()) {
+    core::Session s = cs.session();
+    for (core::BatchOp& op : sb->ops) s.enqueue(std::move(op));
+    co_await s.flush();
+    sb->results = s.results();
+    co_await cs.exit();
+  } else {
     sb->results.assign(sb->ops.size(), core::BatchOpResult(acq.status()));
-    done.set_value(sim::Unit{});
-    co_return;
   }
-  sb->results = co_await c->execute_batch(lock_key, ref.value(), sb->ops);
-  co_await c->release_lock(lock_key, ref.value());
   done.set_value(sim::Unit{});
 }
 
@@ -291,7 +229,8 @@ sim::Task<Status> Batch::flush() {
     flushed_ = true;
     co_return Status::Ok();
   }
-  sim::OpSpan span(sim_, "cluster.batch_flush", client_.site(), -1,
+  sim::Simulation& sim = client_.simulation();
+  sim::OpSpan span(sim, "cluster.batch_flush", client_.site(), -1,
                    std::to_string(ops_.size()));
   results_.assign(ops_.size(), core::BatchOpResult(OpStatus::Timeout));
 
@@ -300,12 +239,8 @@ sim::Task<Status> Batch::flush() {
   // costs a WrongShard retry inside the run, not a mis-stitched result.
   std::map<int, std::unique_ptr<ShardBatch>> by_shard;
   for (size_t i = 0; i < ops_.size(); ++i) {
-    int shard = client_.map_->route(ops_[i].key);
-    std::unique_ptr<ShardBatch>& sb = by_shard[shard];
-    if (!sb) {
-      sb = std::make_unique<ShardBatch>();
-      sb->shard = shard;
-    }
+    std::unique_ptr<ShardBatch>& sb = by_shard[client_.map_->route(ops_[i].key)];
+    if (!sb) sb = std::make_unique<ShardBatch>();
     sb->idx.push_back(i);
     sb->ops.push_back(ops_[i]);
   }
@@ -315,11 +250,11 @@ sim::Task<Status> Batch::flush() {
   done.reserve(by_shard.size());
   for (auto& [shard, sb] : by_shard) {
     (void)shard;
-    sim::Promise<sim::Unit> p(sim_);
+    sim::Promise<sim::Unit> p(sim);
     done.push_back(p.future());
-    sim::spawn(sim_, run_shard(&client_, sb.get(), p));
+    sim::spawn(sim, run_shard(&client_, sb.get(), p));
   }
-  co_await sim::await_all(sim_, std::move(done));
+  co_await sim::await_all(sim, std::move(done));
 
   for (auto& [shard, sb] : by_shard) {
     (void)shard;

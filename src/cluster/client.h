@@ -17,10 +17,15 @@
 // simply resumes against the destination.
 //
 // Batch is the multi-shard counterpart of core::Session: enqueued ops are
-// split by shard at flush, each shard's run executes as its own critical
-// section (lockRef on that shard's first key) shipped through the PR 3
-// batch pipeline, all shards flush in parallel, and results stitch back in
-// enqueue order — Ok-prefix semantics hold per shard.
+// split by shard at flush, each shard's slice runs as its own
+// core::CriticalSection (lockRef on the slice's first key) whose Session
+// ships it as one batch, all shards flush in parallel, and results stitch
+// back in enqueue order — Ok-prefix semantics hold per shard.
+//
+// A single batch (execute_batch, and so a Session over this client) must
+// keep every sub-op on the lock key's shard: the replica that runs it holds
+// only that shard's lock and data, so a batch with a sub-op routed elsewhere
+// is not shipped and every entry comes back WrongShard.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +36,7 @@
 #include "cluster/cluster.h"
 #include "core/client.h"
 #include "core/music.h"
+#include "core/session.h"
 #include "verify/oracle.h"
 
 namespace music::cluster {
@@ -67,8 +73,9 @@ struct RouteGrant {
 class Client : public api::ClientApi {
  public:
   /// A client at `site`.  With a checker, every observable ECF transition
-  /// is reported (the cluster-layer CheckedClient; instrumentation points
-  /// mirror verify::CheckedClient exactly).
+  /// is reported inline through the checker's reporting helpers — the same
+  /// policy verify::CheckedClient applies, without a decorator's extra
+  /// coroutine per op.
   explicit Client(Cluster& cluster, int site,
                   verify::EcfChecker* checker = nullptr,
                   ClientOptions opt = {});
@@ -96,8 +103,9 @@ class Client : public api::ClientApi {
   sim::Task<Status> critical_put(Key key, LockRef ref, Value value) override;
   sim::Task<Result<Value>> critical_get(Key key, LockRef ref) override;
   sim::Task<Status> critical_delete(Key key, LockRef ref) override;
-  /// Single-shard batch under one lockRef (all ops must route to `key`'s
-  /// shard — Batch below splits multi-shard op sets).
+  /// Single-shard batch under one lockRef.  Every op must route to `key`'s
+  /// shard; otherwise nothing ships and every entry is WrongShard (Batch
+  /// below splits multi-shard op sets).
   sim::Task<std::vector<core::BatchOpResult>> execute_batch(
       Key key, LockRef ref, std::vector<core::BatchOp> ops) override;
   sim::Task<Status> release_lock(Key key, LockRef ref) override;
@@ -132,45 +140,30 @@ class Client : public api::ClientApi {
 
 /// A multi-shard pipelined batch.  Enqueue with put/get/del (returns the
 /// result index), then flush(): ops are split by shard, each shard's slice
-/// runs as one critical section + PR 3 batch in parallel with the others,
-/// and per-op outcomes stitch back into results() in enqueue order.  The
-/// roll-up status is the first non-Ok/NotFound outcome in enqueue order.
-/// After a flush the next enqueue starts a fresh batch.
-class Batch {
+/// runs as its own core::CriticalSection + core::Session in parallel with
+/// the others, and per-op outcomes stitch back into results() in enqueue
+/// order.  The roll-up status is the first non-Ok/NotFound outcome in
+/// enqueue order.  After a flush the next enqueue starts a fresh batch.
+class Batch : public core::OpQueue {
  public:
-  explicit Batch(Client& client);
-
-  size_t put(Key key, Value value);
-  size_t get(Key key);
-  size_t del(Key key);
+  explicit Batch(Client& client) : client_(client) {}
 
   sim::Task<Status> flush();
-
-  size_t pending() const { return flushed_ ? 0 : ops_.size(); }
-  const std::vector<core::BatchOp>& ops() const { return ops_; }
-  const std::vector<core::BatchOpResult>& results() const { return results_; }
 
  private:
   /// One shard's slice of the batch (stable address while in flight).
   struct ShardBatch {
-    int shard = -1;
     std::vector<size_t> idx;  // enqueue indices, ascending
     std::vector<core::BatchOp> ops;
     std::vector<core::BatchOpResult> results;
   };
 
-  /// Lock + batch-execute + release for one shard's slice (a named
-  /// coroutine: spawned frames must not be lambdas; see ds::Cell note).
+  /// Runs one shard's slice as a critical section keyed on its first key (a
+  /// named coroutine: spawned frames must not be lambdas; see ds::Cell note).
   static sim::Task<void> run_shard(Client* c, ShardBatch* sb,
                                    sim::Promise<sim::Unit> done);
 
-  size_t enqueue(core::BatchOp op);
-
   Client& client_;
-  sim::Simulation& sim_;
-  std::vector<core::BatchOp> ops_;
-  std::vector<core::BatchOpResult> results_;
-  bool flushed_ = false;
 };
 
 }  // namespace music::cluster

@@ -35,54 +35,23 @@
 
 namespace music::core {
 
-/// A pipelined batch of critical ops under one held lock.  put/get/del
-/// enqueue and return the op's index into results(); flush() ships the
-/// batch.  After a flush, the next enqueue starts a fresh batch (the
-/// session object is reusable for as long as the lock is held).
-///
-/// Session (and CriticalSection below) bind the shared api::ClientApi seam,
-/// not the concrete client: the same handle code runs over one MUSIC group
-/// (core::MusicClient) or a sharded deployment (cluster::Client).
-class Session {
+/// The put/get/del queue of a batch, shared by Session and the sharded
+/// cluster::Batch.  put/get/del enqueue and return the op's index into
+/// results(); after a flush, the next enqueue starts a fresh batch.
+class OpQueue {
  public:
-  /// Usually obtained via CriticalSection::session().
-  Session(api::ClientApi& client, Key key, LockRef ref)
-      : client_(client), key_(std::move(key)), ref_(ref) {}
-
   /// Enqueues a critical put of `key` (any key, not just the lock's).
   size_t put(Key key, Value value) {
     return enqueue(BatchOp(BatchOp::Kind::Put, std::move(key), std::move(value)));
   }
-  /// Enqueues a critical put of the lock key itself.
-  size_t put(Value value) { return put(key_, std::move(value)); }
-
-  /// Enqueues a critical get; read results()[index] after flush().
+  /// Enqueues a critical get; read results()[index] after the flush.
   size_t get(Key key) {
     return enqueue(BatchOp(BatchOp::Kind::Get, std::move(key), Value()));
   }
-  size_t get() { return get(key_); }
-
   /// Enqueues a critical delete (tombstone write).
   size_t del(Key key) {
     return enqueue(BatchOp(BatchOp::Kind::Delete, std::move(key), Value()));
   }
-  size_t del() { return del(key_); }
-
-  /// Ships the queued ops as one Batch request (empty queue: no-op, Ok).
-  /// Returns the batch roll-up status; per-op outcomes land in results().
-  sim::Task<Status> flush();
-
-  /// Ops queued and not yet flushed.
-  size_t pending() const { return flushed_ ? 0 : ops_.size(); }
-  /// The last flushed batch's ops (aligned with results()).
-  const std::vector<BatchOp>& ops() const { return ops_; }
-  /// Per-op outcomes of the last flush, aligned with the enqueue indices.
-  const std::vector<BatchOpResult>& results() const { return results_; }
-
-  const Key& key() const { return key_; }
-  LockRef ref() const { return ref_; }
-
- private:
   size_t enqueue(BatchOp op) {
     if (flushed_) {
       ops_.clear();
@@ -93,12 +62,52 @@ class Session {
     return ops_.size() - 1;
   }
 
-  api::ClientApi& client_;
-  Key key_;
-  LockRef ref_;
+  /// Ops queued and not yet flushed.
+  size_t pending() const { return flushed_ ? 0 : ops_.size(); }
+  /// The last flushed batch's ops (aligned with results()).
+  const std::vector<BatchOp>& ops() const { return ops_; }
+  /// Per-op outcomes of the last flush, aligned with the enqueue indices.
+  const std::vector<BatchOpResult>& results() const { return results_; }
+
+ protected:
   std::vector<BatchOp> ops_;
   std::vector<BatchOpResult> results_;
   bool flushed_ = false;
+};
+
+/// A pipelined batch of critical ops under one held lock; flush() ships the
+/// queue as one Batch request.  The session object is reusable for as long
+/// as the lock is held.
+///
+/// Session (and CriticalSection below) bind the shared api::ClientApi seam,
+/// not the concrete client: the same handle code runs over one MUSIC group
+/// (core::MusicClient) or a sharded deployment (cluster::Client), and a
+/// checked batch is a Session over a verify::CheckedClient.
+class Session : public OpQueue {
+ public:
+  /// Usually obtained via CriticalSection::session().
+  Session(api::ClientApi& client, Key key, LockRef ref)
+      : client_(client), key_(std::move(key)), ref_(ref) {}
+
+  using OpQueue::del;
+  using OpQueue::get;
+  using OpQueue::put;
+  /// The same ops on the lock key itself.
+  size_t put(Value value) { return put(key_, std::move(value)); }
+  size_t get() { return get(key_); }
+  size_t del() { return del(key_); }
+
+  /// Ships the queued ops as one Batch request (empty queue: no-op, Ok).
+  /// Returns the batch roll-up status; per-op outcomes land in results().
+  sim::Task<Status> flush();
+
+  const Key& key() const { return key_; }
+  LockRef ref() const { return ref_; }
+
+ private:
+  api::ClientApi& client_;
+  Key key_;
+  LockRef ref_;
 };
 
 /// RAII handle for one critical section: owns the lockRef lifecycle and

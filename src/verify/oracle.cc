@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/session.h"
 #include "obs/trace.h"
 
 namespace music::verify {
@@ -272,30 +271,37 @@ std::string EcfChecker::report() const {
   return os.str();
 }
 
-sim::Task<Status> CheckedClient::flush(core::Session& session) {
-  if (session.pending() == 0) co_return co_await session.flush();
-  for (const auto& op : session.ops()) {
+void EcfChecker::on_get(const Key& key, LockRef ref, const Result<Value>& r) {
+  if (r.ok()) {
+    on_get_ok(key, ref, r.value());
+  } else if (r.status() == OpStatus::NotFound) {
+    on_get_not_found(key, ref);
+  }
+}
+
+void EcfChecker::on_batch_sent(LockRef ref,
+                               const std::vector<core::BatchOp>& ops) {
+  for (const core::BatchOp& op : ops) {
+    if (op.kind == core::BatchOp::Kind::Put) on_put_attempt(op.key, ref, op.value);
+  }
+}
+
+void EcfChecker::on_batch_done(LockRef ref,
+                               const std::vector<core::BatchOp>& ops,
+                               const std::vector<core::BatchOpResult>& results) {
+  for (size_t i = 0; i < ops.size() && i < results.size(); ++i) {
+    const core::BatchOp& op = ops[i];
+    const core::BatchOpResult& r = results[i];
     if (op.kind == core::BatchOp::Kind::Put) {
-      checker_.on_put_attempt(op.key, session.ref(), op.value);
-    }
-  }
-  auto st = co_await session.flush();
-  const auto& ops = session.ops();
-  const auto& rs = session.results();
-  for (size_t i = 0; i < ops.size() && i < rs.size(); ++i) {
-    if (ops[i].kind == core::BatchOp::Kind::Put) {
-      if (rs[i].status == OpStatus::Ok) {
-        checker_.on_put_acked(ops[i].key, session.ref(), ops[i].value);
-      }
-    } else if (ops[i].kind == core::BatchOp::Kind::Get) {
-      if (rs[i].status == OpStatus::Ok) {
-        checker_.on_get_ok(ops[i].key, session.ref(), rs[i].value);
-      } else if (rs[i].status == OpStatus::NotFound) {
-        checker_.on_get_not_found(ops[i].key, session.ref());
+      if (r.status == OpStatus::Ok) on_put_acked(op.key, ref, op.value);
+    } else if (op.kind == core::BatchOp::Kind::Get) {
+      if (r.status == OpStatus::Ok) {
+        on_get_ok(op.key, ref, r.value);
+      } else if (r.status == OpStatus::NotFound) {
+        on_get_not_found(op.key, ref);
       }
     }
   }
-  co_return st;
 }
 
 DefinedResult data_store_defined(ds::StoreCluster& cluster,

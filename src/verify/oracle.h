@@ -7,7 +7,7 @@
 // Latest-State properties hold in every reachable state.
 //
 // Here the same history variables are maintained at runtime by EcfChecker,
-// fed by instrumented clients (CheckedClient), and the same properties are
+// fed by instrumented clients (CheckedClient, cluster::Client), and the same properties are
 // asserted continuously while randomized property tests drive the system
 // through crashes, partitions, forced releases and false failure detection.
 // Bounded exhaustive enumeration is replaced by bounded randomized
@@ -29,10 +29,6 @@
 
 #include "core/client.h"
 #include "core/music.h"
-
-namespace music::core {
-class Session;  // core/session.h — only CheckedClient::flush's definition needs it
-}
 
 namespace music::verify {
 
@@ -79,6 +75,20 @@ class EcfChecker {
   void on_get_not_found(const Key& key, LockRef ref);
   void on_released(const Key& key, LockRef ref);
   void on_forced_release(const Key& key, LockRef ref);
+
+  // ---- Reporting policy shared by every instrumented client. ---------------
+
+  /// A criticalGet's outcome: a value or NotFound is an observation; any
+  /// other status observed nothing.
+  void on_get(const Key& key, LockRef ref, const Result<Value>& r);
+  /// A batch under `ref` shipped: each of its puts is now an attempt
+  /// ("pending" in the Alloy sense) whether or not the replica aborts the
+  /// tail.  Deletes are unmodeled, as for the unbatched client.
+  void on_batch_sent(LockRef ref, const std::vector<core::BatchOp>& ops);
+  /// The batch's per-op results came back: Ok puts are acks, gets are
+  /// observations (results may be shorter than ops; the rest saw nothing).
+  void on_batch_done(LockRef ref, const std::vector<core::BatchOp>& ops,
+                     const std::vector<core::BatchOpResult>& results);
 
   // ---- Results. --------------------------------------------------------------
 
@@ -166,68 +176,92 @@ class EcfChecker {
   bool lenient_stale_grants_ = false;
 };
 
-/// A MusicClient wrapper that reports every observable transition to an
-/// EcfChecker.  Property tests use it exactly like MusicClient.
-class CheckedClient {
+/// An api::ClientApi decorator that reports every observable transition to
+/// an EcfChecker.  It wraps any client — core, cluster or raft-backed — and
+/// property tests use it exactly like the client it wraps; a checked batch
+/// is a plain core::Session over a CheckedClient.  Ops the oracle does not
+/// model (deletes, lockRef eviction, non-ECF conveniences) forward as-is.
+class CheckedClient : public api::ClientApi {
  public:
-  CheckedClient(core::MusicClient& inner, EcfChecker& checker)
+  CheckedClient(api::ClientApi& inner, EcfChecker& checker)
       : inner_(inner), checker_(checker) {}
 
-  sim::Task<Result<LockRef>> create_lock_ref(Key key) {
+  sim::Simulation& simulation() override { return inner_.simulation(); }
+  int site() const override { return inner_.site(); }
+  int shard_count() const override { return inner_.shard_count(); }
+  uint64_t map_epoch() const override { return inner_.map_epoch(); }
+
+  sim::Task<Result<LockRef>> create_lock_ref(Key key) override {
     co_return co_await inner_.create_lock_ref(std::move(key));
   }
 
-  sim::Task<Status> acquire_lock_blocking(Key key, LockRef ref) {
+  sim::Task<Status> acquire_lock(Key key, LockRef ref) override {
+    auto st = co_await inner_.acquire_lock(key, ref);
+    if (st.ok()) checker_.on_acquired(key, ref);
+    co_return st;
+  }
+
+  sim::Task<Status> acquire_lock_blocking(Key key, LockRef ref) override {
     auto st = co_await inner_.acquire_lock_blocking(key, ref);
     if (st.ok()) checker_.on_acquired(key, ref);
     co_return st;
   }
 
-  sim::Task<Status> critical_put(Key key, LockRef ref, Value value) {
+  sim::Task<Status> critical_put(Key key, LockRef ref, Value value) override {
     checker_.on_put_attempt(key, ref, value);
     auto st = co_await inner_.critical_put(key, ref, value);
     if (st.ok()) checker_.on_put_acked(key, ref, value);
     co_return st;
   }
 
-  sim::Task<Result<Value>> critical_get(Key key, LockRef ref) {
+  sim::Task<Result<Value>> critical_get(Key key, LockRef ref) override {
     auto r = co_await inner_.critical_get(key, ref);
-    if (r.ok()) {
-      checker_.on_get_ok(key, ref, r.value());
-    } else if (r.status() == OpStatus::NotFound) {
-      checker_.on_get_not_found(key, ref);
-    }
+    checker_.on_get(key, ref, r);
     co_return r;
   }
 
-  /// Flushes a batch Session with oracle instrumentation.  Every queued put
-  /// is reported as attempted BEFORE the batch ships (once on the wire it
-  /// is "pending" in the Alloy sense, whether or not the replica aborts the
-  /// tail), then acks/reads are reported from the per-op results.  Deletes
-  /// are unmodeled by the oracle (as with the unbatched client, which has
-  /// no checked critical_delete), and the per-key history assumes sub-ops
-  /// target the session's lock key — oracle-checked histories batch
-  /// puts/gets on the key whose lock they hold.
-  sim::Task<Status> flush(core::Session& session);
+  sim::Task<Status> critical_delete(Key key, LockRef ref) override {
+    return inner_.critical_delete(std::move(key), ref);
+  }
 
-  sim::Task<Status> release_lock(Key key, LockRef ref) {
+  sim::Task<std::vector<core::BatchOpResult>> execute_batch(
+      Key key, LockRef ref, std::vector<core::BatchOp> ops) override {
+    checker_.on_batch_sent(ref, ops);
+    auto results = co_await inner_.execute_batch(std::move(key), ref, ops);
+    checker_.on_batch_done(ref, ops, results);
+    co_return results;
+  }
+
+  sim::Task<Status> release_lock(Key key, LockRef ref) override {
     // Report on entry: the holder leaves its critical section the moment it
     // initiates the release (the dequeue commits at the lock store before
     // the client's reply arrives, so the next grant may be observed first).
     checker_.on_released(key, ref);
-    co_return co_await inner_.release_lock(key, ref);
+    co_return co_await inner_.release_lock(std::move(key), ref);
   }
 
-  sim::Task<Status> forced_release(Key key, LockRef ref) {
+  sim::Task<Status> remove_lock_ref(Key key, LockRef ref) override {
+    return inner_.remove_lock_ref(std::move(key), ref);
+  }
+
+  sim::Task<Status> forced_release(Key key, LockRef ref) override {
     auto st = co_await inner_.forced_release(key, ref);
     if (st.ok()) checker_.on_forced_release(key, ref);
     co_return st;
   }
 
-  core::MusicClient& inner() { return inner_; }
+  sim::Task<Status> put(Key key, Value value) override {
+    return inner_.put(std::move(key), std::move(value));
+  }
+  sim::Task<Result<Value>> get(Key key) override {
+    return inner_.get(std::move(key));
+  }
+  sim::Task<Result<std::vector<Key>>> get_all_keys(Key prefix) override {
+    return inner_.get_all_keys(std::move(prefix));
+  }
 
  private:
-  core::MusicClient& inner_;
+  api::ClientApi& inner_;
   EcfChecker& checker_;
 };
 

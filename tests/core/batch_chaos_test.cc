@@ -2,9 +2,9 @@
 // the same ECF oracle as the unbatched client (tests/music/ecf_property_
 // test.cc): forced releases land mid-batch, store replicas crash, sites
 // partition — and the Exclusivity / Latest-State invariants must still
-// hold over the per-op batch results.  CheckedClient::flush reports every
-// queued put as attempted before the batch ships and acks/reads from the
-// aligned results, so a preempted tail shows up as pending-never-acked
+// hold over the per-op batch results.  A Session over a CheckedClient
+// reports every queued put as attempted before the batch ships and
+// acks/reads from the aligned results, so a preempted tail shows up as pending-never-acked
 // attempts, exactly like a client that crashed mid-put.
 #include <gtest/gtest.h>
 
@@ -39,10 +39,10 @@ sim::Task<void> batch_client_life(MusicWorld& w, CheckedClient c, int id,
     if (!ref.ok()) continue;
     auto acq = co_await c.acquire_lock_blocking(key, ref.value());
     if (!acq.ok()) {
-      co_await c.inner().remove_lock_ref(key, ref.value());
+      co_await c.remove_lock_ref(key, ref.value());
       continue;
     }
-    core::Session s(c.inner(), key, ref.value());
+    core::Session s(c, key, ref.value());
     int ops = static_cast<int>(1 + rng.next_u64() % 4);
     for (int i = 0; i < ops; ++i) {
       if (rng.chance(0.4)) {
@@ -59,7 +59,7 @@ sim::Task<void> batch_client_life(MusicWorld& w, CheckedClient c, int id,
         s.put(Value(val));
       }
     }
-    auto st = co_await c.flush(s);
+    auto st = co_await s.flush();
     (void)st;  // a NotLockHolder tail is legal under preemption
     if (!rng.chance(0.1)) {
       co_await c.release_lock(key, ref.value());

@@ -128,7 +128,7 @@ sim::Task<void> worker_life(MusicWorld& w, CheckedClient c, int id,
     }
     auto acq = co_await c.acquire_lock_blocking(key, ref.value());
     if (!acq.ok()) {
-      co_await c.inner().remove_lock_ref(key, ref.value());
+      co_await c.remove_lock_ref(key, ref.value());
       continue;
     }
     int ops = static_cast<int>(1 + rng.next_u64() % 3);
@@ -299,7 +299,7 @@ SeedOutcome run_midbatch_scenario(uint64_t seed) {
     auto ref = co_await holder.create_lock_ref(k);
     CO_CHECK(out, ref.ok());
     CO_CHECK(out, (co_await holder.acquire_lock_blocking(k, ref.value())).ok());
-    core::Session s(holder.inner(), k, ref.value());
+    core::Session s(holder, k, ref.value());
     for (int i = 0; i < 10; ++i) {
       std::string val = "m";
       val += std::to_string(i);
@@ -307,7 +307,7 @@ SeedOutcome run_midbatch_scenario(uint64_t seed) {
     }
     // The flush races the forced release below; the holder then "crashes"
     // (never releases, never cleans up).
-    co_await holder.flush(s);
+    co_await s.flush();
     results = s.results();
     flushed = true;
   };
@@ -413,7 +413,7 @@ SeedOutcome run_dead_majority_scenario(uint64_t seed) {
     auto mid = co_await c.critical_put(k, ref.value(), Value("during"));
     CO_CHECK(out, !mid.ok());
     CO_CHECK(out, mid.status() == OpStatus::RetryExhausted);
-    CO_CHECK(out, c.inner().stats().retry_exhausted > 0);
+    CO_CHECK(out, w.client(0).stats().retry_exhausted > 0);
 
     // After the (durable) restarts the same section finishes cleanly.
     while (w.sim.now() < sim::sec(15)) {

@@ -129,7 +129,7 @@ TEST(EndToEnd, MixedWorkloadAcrossAllLayersSurvivesFailures) {
       if (!ref.ok()) continue;
       auto acq = co_await c.acquire_lock_blocking("oracle-key", ref.value());
       if (!acq.ok()) {
-        co_await c.inner().remove_lock_ref("oracle-key", ref.value());
+        co_await c.remove_lock_ref("oracle-key", ref.value());
         continue;
       }
       auto g = co_await c.critical_get("oracle-key", ref.value());

@@ -68,7 +68,7 @@ sim::Task<void> raft_client_life(RaftBackedWorld& w, CheckedClient c, int id,
     if (!ref.ok()) continue;
     auto acq = co_await c.acquire_lock_blocking(key, ref.value());
     if (!acq.ok()) {
-      co_await c.inner().remove_lock_ref(key, ref.value());
+      co_await c.remove_lock_ref(key, ref.value());
       continue;
     }
     bool alive = true;

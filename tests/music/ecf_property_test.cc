@@ -42,7 +42,7 @@ sim::Task<void> client_life(MusicWorld& w, CheckedClient c, int id,
     if (rng.chance(0.1)) continue;  // die after createLockRef: orphan ref
     auto acq = co_await c.acquire_lock_blocking(key, ref.value());
     if (!acq.ok()) {
-      co_await c.inner().remove_lock_ref(key, ref.value());
+      co_await c.remove_lock_ref(key, ref.value());
       continue;
     }
     int ops = static_cast<int>(1 + rng.next_u64() % 3);
@@ -185,7 +185,7 @@ TEST_P(EcfFailureFree, StrictInvariantsHoldWithoutFailures) {
         if (!ref.ok()) continue;
         auto acq = co_await c.acquire_lock_blocking(key, ref.value());
         if (!acq.ok()) {
-          co_await c.inner().remove_lock_ref(key, ref.value());
+          co_await c.remove_lock_ref(key, ref.value());
           continue;
         }
         auto g = co_await c.critical_get(key, ref.value());
