@@ -12,6 +12,7 @@
 #include "cluster/client.h"
 #include "cluster/cluster.h"
 #include "cluster/world.h"
+#include "core/session.h"
 #include "obs/metrics.h"
 
 namespace music::cluster {
@@ -253,6 +254,49 @@ TEST(ClusterBatch, SplitsAcrossShardsAndStitchesInEnqueueOrder) {
     shards_hit.insert(map->route("bk" + std::to_string(i)));
   }
   EXPECT_GT(shards_hit.size(), 1u) << "keys collapsed onto one shard";
+  EXPECT_TRUE(w.checker.ok()) << w.checker.report();
+}
+
+/// A key that routes to a different shard than `key`.
+Key key_on_another_shard(const ShardMap& map, const Key& key) {
+  for (int i = 0;; ++i) {
+    Key other = "b" + std::to_string(i);
+    if (map.route(other) != map.route(key)) return other;
+  }
+}
+
+TEST(ClusterBatch, SubOpOnAnotherShardRejectsTheWholeBatch) {
+  // The replica running a batch holds only the lock key's shard, so a
+  // sub-op routed elsewhere must not be acked into the lock key's group:
+  // nothing ships, and every entry is WrongShard.
+  ClusterWorld w(sharded(4));
+  auto& c = w.make_client(0);
+  const Key lock_key = "a0";
+  const Key stray = key_on_another_shard(*w.cluster.snapshot(), lock_key);
+  std::vector<core::BatchOpResult> results;
+  bool ok = w.runner.run([&]() -> sim::Task<void> {
+    core::CriticalSection cs(c, lock_key);
+    CO_ASSERT_TRUE((co_await cs.enter()).ok());
+    core::Session s = cs.session();
+    s.put(Value("mine"));
+    s.put(stray, Value("stray"));
+    Status st = co_await s.flush();
+    results = s.results();
+    CO_ASSERT_EQ(st.status(), OpStatus::WrongShard);
+    CO_ASSERT_TRUE((co_await cs.exit()).ok());
+
+    // Neither write landed anywhere: the stray key reads NotFound under its
+    // own lock and through the eventual path, and so does the lock key.
+    core::CriticalSection other(c, stray);
+    CO_ASSERT_TRUE((co_await other.enter()).ok());
+    CO_ASSERT_EQ((co_await other.get()).status(), OpStatus::NotFound);
+    CO_ASSERT_TRUE((co_await other.exit()).ok());
+    CO_ASSERT_EQ((co_await c.get(stray)).status(), OpStatus::NotFound);
+    CO_ASSERT_EQ((co_await c.get(lock_key)).status(), OpStatus::NotFound);
+  });
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) EXPECT_EQ(r.status, OpStatus::WrongShard);
   EXPECT_TRUE(w.checker.ok()) << w.checker.report();
 }
 

@@ -321,5 +321,65 @@ TEST(RestCluster, Listing1FlowOverAShardedDeployment) {
   EXPECT_TRUE(cw.checker.ok()) << cw.checker.report();
 }
 
+TEST(RestCluster, BatchSubOpsMustShareTheLockKeysShard) {
+  ClusterWorldOptions opt;
+  opt.cluster.shards = 4;
+  ClusterWorld cw(opt);
+  RestGateway gw(cw.make_client(0));
+  auto map = cw.cluster.snapshot();
+  Key same;
+  Key stray;
+  for (int i = 0; same.empty() || stray.empty(); ++i) {
+    Key k = "k/" + std::to_string(i);
+    (map->route(k) == map->route("k") ? same : stray) = k;
+  }
+  bool ok = cw.runner.run([&]() -> sim::Task<void> {
+    auto created = co_await gw.handle_json(
+        Json().set("op", "createLockRef").set("key", "k"));
+    CO_ASSERT_EQ(created["status"].as_string(), "Ok");
+    int64_t ref = created["lockRef"].as_int();
+    Json acq;
+    acq.set("op", "acquireLock").set("key", "k").set("lockRef", ref);
+    std::string status;
+    for (int i = 0; i < 64 && status != "Ok"; ++i) {
+      status = (co_await gw.handle_json(acq))["status"].as_string();
+      if (status != "Ok") co_await sim::sleep_for(cw.sim, sim::ms(5));
+    }
+    CO_ASSERT_EQ(status, "Ok");
+
+    // One sub-op on another shard: nothing ships, every entry WrongShard.
+    Json mixed;
+    mixed.set("op", "batch").set("key", "k").set("lockRef", ref);
+    Json ops;
+    ops.push(Json().set("op", "put").set("key", same).set("value", "1"));
+    ops.push(Json().set("op", "put").set("key", stray).set("value", "2"));
+    mixed.set("ops", ops);
+    auto reply = co_await gw.handle_json(mixed);
+    EXPECT_EQ(reply["status"].as_string(), "WrongShard");
+    const auto& rs = reply["results"].as_array();
+    CO_ASSERT_EQ(rs.size(), 2u);
+    for (const Json& r : rs) EXPECT_EQ(r["status"].as_string(), "WrongShard");
+
+    // The same-shard sub-op alone ships, and nothing of the rejected batch
+    // landed before it.
+    Json single;
+    single.set("op", "batch").set("key", "k").set("lockRef", ref);
+    Json one;
+    one.push(Json().set("op", "get").set("key", same));
+    one.push(Json().set("op", "put").set("key", same).set("value", "3"));
+    single.set("ops", one);
+    auto r2 = co_await gw.handle_json(single);
+    CO_ASSERT_EQ(r2["status"].as_string(), "Ok");
+    EXPECT_EQ(r2["results"].as_array()[0]["status"].as_string(), "NotFound");
+    EXPECT_EQ(r2["results"].as_array()[1]["status"].as_string(), "Ok");
+
+    Json rel;
+    rel.set("op", "releaseLock").set("key", "k").set("lockRef", ref);
+    EXPECT_EQ((co_await gw.handle_json(rel))["status"].as_string(), "Ok");
+  });
+  ASSERT_TRUE(ok);
+  EXPECT_TRUE(cw.checker.ok()) << cw.checker.report();
+}
+
 }  // namespace
 }  // namespace music::rest
