@@ -24,8 +24,9 @@
 //
 // Teeth check: a run with MusicConfig::test_skip_synchronization (fencing
 // deliberately broken) MUST trip the oracle on the exact same isolation
-// scenario that passes with fencing on.  A matrix that cannot fail proves
-// nothing.
+// scenario that passes with fencing on, whether the zombie writes through
+// critical_put or through a Session batch.  A matrix that cannot fail
+// proves nothing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -190,8 +191,11 @@ struct IsolationOutcome {
 /// holder, so the guard passes).  With real fencing the takeover's
 /// synchronization re-stamped the data under the new ref, which wins the
 /// LWW order; with `skip_sync` the zombie write wins and the new holder
-/// reads it — a Latest-State violation the oracle must catch.
-IsolationOutcome run_isolation_scenario(uint64_t seed, bool skip_sync) {
+/// reads it — a Latest-State violation the oracle must catch.  With
+/// `batched_zombie` the late write ships as a one-put core::Session batch
+/// over the CheckedClient instead of a critical_put.
+IsolationOutcome run_isolation_scenario(uint64_t seed, bool skip_sync,
+                                        bool batched_zombie = false) {
   WorldOptions opt;
   opt.seed = seed;
   // No repair channels: the zombie write must be fenced out by the
@@ -240,7 +244,13 @@ IsolationOutcome run_isolation_scenario(uint64_t seed, bool skip_sync) {
     // the write reaches a full quorum.
     nemesis.heal_all();
     co_await sim::sleep_for(w.sim, sim::ms(50));
-    co_await zombie.critical_put(k, ref1, Value("zombie"));
+    if (batched_zombie) {
+      core::Session s(zombie, k, ref1);
+      s.put(Value("zombie"));
+      co_await s.flush();
+    } else {
+      co_await zombie.critical_put(k, ref1, Value("zombie"));
+    }
 
     // The current holder reads again: with fencing the re-stamped "v1"
     // (under ref2) outranks the zombie's ref1 stamp; without it the
@@ -278,6 +288,18 @@ TEST(EcfFaultMatrixTeeth, WeakenedFencingTripsTheOracle) {
   EXPECT_TRUE(out.drove_to_end);
   EXPECT_FALSE(out.oracle_ok)
       << "oracle accepted a zombie write with synchronization disabled";
+}
+
+TEST(EcfFaultMatrixTeeth, WeakenedFencingTripsTheOracleThroughABatch) {
+  // The same zombie write shipped as a Session batch over a CheckedClient:
+  // the batch path's reporting must trip the oracle just as critical_put's
+  // does.
+  auto out = run_isolation_scenario(1, /*skip_sync=*/true,
+                                    /*batched_zombie=*/true);
+  EXPECT_TRUE(out.drove_to_end);
+  EXPECT_FALSE(out.oracle_ok)
+      << "oracle accepted a batched zombie write with synchronization "
+         "disabled";
 }
 
 // ---- Lock-holder crash mid-batch ------------------------------------------
