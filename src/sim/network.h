@@ -197,10 +197,6 @@ class Network {
   /// Heals every active partition.
   void heal_all_partitions();
 
-  /// Back-compat alias for heal_all_partitions(): before partitions
-  /// stacked, "the" partition was the only one.
-  void heal_partition() { heal_all_partitions(); }
-
   /// Number of currently active partitions.
   size_t active_partitions() const { return partitions_.size(); }
 

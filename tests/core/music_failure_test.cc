@@ -276,7 +276,7 @@ TEST(Partition, MinoritySideClientIsToldNothingFalse) {
     w.net.partition_sites({0}, {1, 2});
     auto p = co_await c.critical_put("k", ref.value(), Value("ghost"));
     EXPECT_FALSE(p.ok());
-    w.net.heal_partition();
+    w.net.heal_all_partitions();
     auto p2 = co_await c.critical_put("k", ref.value(), Value("real"));
     EXPECT_TRUE(p2.ok());
     auto g = co_await c.critical_get("k", ref.value());

@@ -89,7 +89,7 @@ TEST(AntiEntropy, SkipsPartitionedPeersThenCatchesUp) {
   w.store.start_anti_entropy();
   w.sim.run_for(sim::sec(10));
   EXPECT_FALSE(w.store.replica(1).local_read("k").has_value());
-  w.net.heal_partition();
+  w.net.heal_all_partitions();
   w.sim.run_for(sim::sec(30));
   EXPECT_TRUE(w.store.replica(1).local_read("k").has_value());
   EXPECT_TRUE(w.store.replica(2).local_read("k").has_value());

@@ -213,7 +213,7 @@ TEST(Partition, MinorityCoordinatorTimesOutThenHeals) {
     auto st2 = co_await w.store.replica_at_site(1).put(
         "k", Cell(Value("w"), 2), Consistency::Quorum);
     EXPECT_TRUE(st2.ok());
-    w.net.heal_partition();
+    w.net.heal_all_partitions();
     auto g = co_await w.store.replica_at_site(0).get("k", Consistency::Quorum);
     CO_ASSERT_TRUE(g.ok());
     EXPECT_EQ(g.value().value.data, "w");

@@ -97,7 +97,7 @@ sim::Task<void> chaos_life(MusicWorld& w, CheckedClient c, sim::Time end,
       int site = static_cast<int>(rng.next_u64() % 3);
       w.net.partition_sites({site}, {(site + 1) % 3, (site + 2) % 3});
       co_await sim::sleep_for(w.sim, rng.uniform_int(sim::ms(500), sim::sec(2)));
-      w.net.heal_partition();
+      w.net.heal_all_partitions();
     } else {
       // Crash a MUSIC replica briefly.
       int victim = static_cast<int>(rng.next_u64() % 3);

@@ -167,7 +167,7 @@ TEST(Raft, MinorityPartitionCannotCommit) {
   }, sim::sec(60));
   ASSERT_TRUE(ok2);
   // Heal: the old leader steps down and converges.
-  w.net.heal_partition();
+  w.net.heal_all_partitions();
   w.sim.run_for(sim::sec(20));
   EXPECT_NE(w.cluster.node(l->id()).role(), Role::Leader);
   auto it = w.cluster.node(l->id()).state().find("k");

@@ -125,7 +125,7 @@ TEST_F(NetworkTest, PartitionBlocksCrossTrafficOnly) {
   EXPECT_FALSE(crossed);
   EXPECT_TRUE(same_side);
 
-  net_.heal_partition();
+  net_.heal_all_partitions();
   net_.send(a_, b_, 0, [&] { crossed = true; });
   sim_.run_until_idle();
   EXPECT_TRUE(crossed);
@@ -150,11 +150,11 @@ TEST_F(NetworkTest, PartitionsStackInsteadOfReplacing) {
   EXPECT_EQ(net_.active_partitions(), 0u);
 }
 
-TEST_F(NetworkTest, HealAllPartitionsAndNoArgCompat) {
+TEST_F(NetworkTest, HealAllPartitionsHealsEveryStackedPartition) {
   net_.partition_sites({0}, {1});
   net_.partition_sites({0}, {2});
   EXPECT_EQ(net_.active_partitions(), 2u);
-  net_.heal_partition();  // the pre-stacking no-arg call heals everything
+  net_.heal_all_partitions();
   EXPECT_EQ(net_.active_partitions(), 0u);
   EXPECT_TRUE(net_.deliverable(a_, b_));
   EXPECT_TRUE(net_.deliverable(a_, c_));
