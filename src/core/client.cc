@@ -38,6 +38,9 @@ void bind_replica(net::SimTransport& transport, MusicReplica& rep) {
 }
 
 sim::Task<Response> execute(MusicReplica& replica, Request req) {
+  // No live store replica at this site: the op cannot be coordinated here,
+  // so fail fast and let the client retry at another MUSIC replica (§III).
+  if (!replica.has_live_store()) co_return Response(OpStatus::Nack);
   switch (req.op) {
     case Request::Op::CreateLockRef: {
       auto r = co_await replica.create_lock_ref(req.key);

@@ -45,12 +45,16 @@ MusicReplica::MusicReplica(ds::StoreCluster& store, ls::LockBackend& locks,
       v2s_(cfg.t_max_cs) {}
 
 ds::StoreReplica& MusicReplica::coord() {
-  int n = store_.num_replicas();
-  for (int attempt = 0; attempt < n; ++attempt) {
-    auto& r = store_.replica(static_cast<int>(coord_rr_++ % static_cast<size_t>(n)));
-    if (r.site() == site_ && !r.down()) return r;
-  }
-  return store_.replica_at_site(site_);  // fallback: any live node
+  // execute() admits an op only while a store replica here is live.  If the
+  // last one crashed since, the op keeps a crashed local coordinator and
+  // fails as any op caught by the crash does.
+  return *store_.coordinator_at(site_, coord_rr_);
+}
+
+bool MusicReplica::has_live_store() const {
+  size_t probe = coord_rr_;  // a query, not a pick: leave the rotation be
+  const ds::StoreReplica* c = store_.coordinator_at(site_, probe);
+  return c != nullptr && !c->down();
 }
 
 sim::Task<Status> MusicReplica::holder_guard(Key key, LockRef ref) {

@@ -220,6 +220,9 @@ class MusicReplica {
   /// because every entry is re-validated against the store on use.
   void set_down(bool down, bool amnesia = true);
   bool down() const { return service_.down(); }
+  /// Some store replica at this site is live, so an op here can be
+  /// coordinated (core::execute fails the op fast with Nack otherwise).
+  bool has_live_store() const;
 
  private:
   struct Origin {
@@ -235,6 +238,7 @@ class MusicReplica {
   /// The data-store coordinator for the next operation: rotates across the
   /// site's nodes (as Cassandra drivers round-robin coordinators), which
   /// spreads coordinator work in the 6/9-node deployments of Fig. 4(b).
+  /// Always a replica at this site (ds::StoreCluster::coordinator_at).
   ds::StoreReplica& coord();
 
   /// Local lock-store peek -> holder guard shared by the critical ops.

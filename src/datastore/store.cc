@@ -580,6 +580,18 @@ StoreReplica& StoreCluster::replica_at_site(int site) {
   return *replicas_.front();
 }
 
+StoreReplica* StoreCluster::coordinator_at(int site, size_t& rr) {
+  StoreReplica* down_here = nullptr;
+  size_t n = replicas_.size();
+  for (size_t attempt = 0; attempt < n; ++attempt) {
+    StoreReplica* r = replicas_[rr++ % n].get();
+    if (r->site() != site) continue;
+    if (!r->down()) return r;
+    down_here = r;
+  }
+  return down_here;
+}
+
 void StoreCluster::start_anti_entropy() {
   for (int i = 0; i < num_replicas(); ++i) {
     // Stagger the rounds so replicas do not synchronize their repair work.

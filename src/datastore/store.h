@@ -385,6 +385,14 @@ class StoreCluster {
   /// A replica located at `site` (the one clients at that site talk to).
   StoreReplica& replica_at_site(int site);
 
+  /// The replica an op issued at `site` coordinates through: the next live
+  /// replica at `site` in round-robin order from `rr`, which it advances
+  /// (each caller keeps its own counter).  When every replica at `site` is
+  /// down it returns one of those, and null only when `site` hosts none.
+  /// It never returns another site's replica: that would be an in-process
+  /// call with no WAN hop.  Callers fail fast on a null or down() result.
+  StoreReplica* coordinator_at(int site, size_t& rr);
+
   /// The RF replicas storing `key`, in ring order.
   std::vector<sim::NodeId> placement(const Key& key) const;
 

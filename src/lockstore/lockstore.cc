@@ -124,26 +124,28 @@ sim::Task<Result<PeekResult>> LockStore::peek_quorum(ds::StoreReplica& coord,
   co_return Result<PeekResult>::Ok(PeekResult{q.head(), true});
 }
 
-ds::StoreReplica& LockStore::coord_at(int site) {
-  int n = store_.num_replicas();
-  size_t& rr = coord_rr_[static_cast<size_t>(site) % coord_rr_.size()];
-  for (int attempt = 0; attempt < n; ++attempt) {
-    auto& r = store_.replica(static_cast<int>(rr++ % static_cast<size_t>(n)));
-    if (r.site() == site && !r.down()) return r;
-  }
-  return store_.replica_at_site(site);
+ds::StoreReplica* LockStore::coord_at(int site) {
+  ds::StoreReplica* c = store_.coordinator_at(
+      site, coord_rr_[static_cast<size_t>(site) % coord_rr_.size()]);
+  return c != nullptr && !c->down() ? c : nullptr;
 }
 
 sim::Task<Result<LockRef>> LockStore::backend_generate(int site, Key key) {
-  co_return co_await generate_and_enqueue(coord_at(site), std::move(key));
+  ds::StoreReplica* c = coord_at(site);
+  if (c == nullptr) co_return Result<LockRef>::Err(OpStatus::Nack);
+  co_return co_await generate_and_enqueue(*c, std::move(key));
 }
 
 sim::Task<Status> LockStore::backend_dequeue(int site, Key key, LockRef ref) {
-  co_return co_await dequeue(coord_at(site), std::move(key), ref);
+  ds::StoreReplica* c = coord_at(site);
+  if (c == nullptr) co_return Status::Err(OpStatus::Nack);
+  co_return co_await dequeue(*c, std::move(key), ref);
 }
 
 sim::Task<Result<PeekResult>> LockStore::backend_peek(int site, Key key) {
-  co_return co_await peek(coord_at(site), std::move(key));
+  ds::StoreReplica* c = coord_at(site);
+  if (c == nullptr) co_return Result<PeekResult>::Err(OpStatus::Nack);
+  co_return co_await peek(*c, std::move(key));
 }
 
 }  // namespace music::ls

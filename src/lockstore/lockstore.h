@@ -127,8 +127,9 @@ class LockStore : public LockBackend {
 
  private:
   /// Site-local coordinator with round-robin over same-site nodes (spreads
-  /// lock-table coordination in multi-node-per-site clusters).
-  ds::StoreReplica& coord_at(int site);
+  /// lock-table coordination in multi-node-per-site clusters); null when no
+  /// store replica at `site` is live, which the backend ops answer with Nack.
+  ds::StoreReplica* coord_at(int site);
 
   ds::StoreCluster& store_;
   /// Relaxed atomic: tags are compared only for equality and carry the

@@ -239,6 +239,31 @@ TEST(Failover, ClientRetriesAtAnotherMusicReplica) {
   EXPECT_EQ(w.replica(0).stats().critical_puts, 0u);
 }
 
+TEST(Failover, SiteWithNoLiveStoreReplicaNacksAndTheClientMovesOn) {
+  MusicWorld w;
+  auto& c = w.client(0);  // prefers replica 0, at site 0
+  w.store.replica(0).set_down(true);  // the only store replica at site 0
+  bool ok = w.runner.run([&]() -> sim::Task<void> {
+    // Replica 0 cannot coordinate: it answers Nack at once rather than
+    // borrowing another site's store replica in-process.
+    sim::Time t0 = w.sim.now();
+    Response r = co_await execute(
+        w.replica(0), Request(Request::Op::GetEventual, "k", 0, Value()));
+    EXPECT_EQ(r.status, OpStatus::Nack);
+    auto peek = co_await w.locks.backend_peek(0, "k");
+    EXPECT_EQ(peek.status(), OpStatus::Nack);
+    EXPECT_EQ(w.sim.now(), t0);
+
+    // The client retries the Nack at another MUSIC replica (§III).
+    auto body = [&](LockRef ref) -> sim::Task<Status> {
+      co_return co_await c.critical_put("k", ref, Value("v"));
+    };
+    EXPECT_TRUE((co_await c.with_lock("k", body)).ok());
+  }, sim::sec(300));
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(w.replica(0).stats().critical_puts, 0u);
+}
+
 TEST(Failover, StoreReplicaCrashMidSectionIsSurvivable) {
   MusicWorld w;
   auto& c = w.client(0);

@@ -23,6 +23,27 @@ TEST(ApplyWrite, LastWriteWinsByTimestamp) {
   EXPECT_EQ(r.local_read("k")->value.data, "d");
 }
 
+TEST(Coordinator, RotatesOverLiveReplicasAndNeverLeavesTheSite) {
+  StoreWorld w(1, sim::LatencyProfile::profile_lus(), /*nodes=*/6);
+  // Six replicas, two per site: site 0 holds replicas 0 and 3.
+  size_t rr = 0;
+  EXPECT_EQ(w.store.coordinator_at(0, rr), &w.store.replica(0));
+  EXPECT_EQ(w.store.coordinator_at(0, rr), &w.store.replica(3));
+  EXPECT_EQ(w.store.coordinator_at(0, rr), &w.store.replica(0));
+  w.store.replica(0).set_down(true);
+  EXPECT_EQ(w.store.coordinator_at(0, rr), &w.store.replica(3));
+  EXPECT_EQ(w.store.coordinator_at(0, rr), &w.store.replica(3));
+  // Every replica at site 0 down: still a site-0 replica (down), never a
+  // live one at another site.
+  w.store.replica(3).set_down(true);
+  StoreReplica* c = w.store.coordinator_at(0, rr);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->site(), 0);
+  EXPECT_TRUE(c->down());
+  // A site that hosts no replica has no coordinator.
+  EXPECT_EQ(w.store.coordinator_at(7, rr), nullptr);
+}
+
 TEST(QuorumOps, WriteThenReadReturnsValue) {
   StoreWorld w;
   bool ok = w.runner.run([&]() -> sim::Task<void> {
