@@ -4,20 +4,14 @@ namespace music::core {
 
 sim::Task<Status> MultiKeySection::acquire_all() {
   if (held_) co_return Status::Ok();
+  sections_.reserve(keys_.size());
   for (const Key& key : keys_) {
-    auto ref = co_await client_.create_lock_ref(key);
-    if (!ref.ok()) {
+    sections_.emplace_back(client_, key);
+    Status st = co_await sections_.back().enter();
+    if (!st.ok()) {
+      sections_.pop_back();  // never held: enter() already evicted its ref
       co_await release_all();
-      co_return ref.status();
-    }
-    refs_[key] = ref.value();
-    auto acq = co_await client_.acquire_lock_blocking(key, ref.value());
-    if (!acq.ok()) {
-      // Not granted: evict the reference, then roll everything back.
-      co_await client_.remove_lock_ref(key, ref.value());
-      refs_.erase(key);
-      co_await release_all();
-      co_return acq;
+      co_return st;
     }
   }
   held_ = true;
@@ -28,29 +22,30 @@ sim::Task<Status> MultiKeySection::release_all() {
   Status worst = Status::Ok();
   // Reverse lexicographic order (harmless either way for correctness, but
   // symmetric with the acquisition order).
-  for (auto it = keys_.rbegin(); it != keys_.rend(); ++it) {
-    auto found = refs_.find(*it);
-    if (found == refs_.end()) continue;
-    auto st = co_await client_.release_lock(*it, found->second);
+  for (; !sections_.empty(); sections_.pop_back()) {
+    auto st = co_await sections_.back().exit();
     if (!st.ok() && worst.ok()) worst = st;
-    refs_.erase(found);
   }
   held_ = false;
   co_return worst;
 }
 
+CriticalSection* MultiKeySection::section_of(const Key& key) {
+  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (!held_ || it == keys_.end() || *it != key) return nullptr;
+  return &sections_[static_cast<size_t>(it - keys_.begin())];
+}
+
 sim::Task<Status> MultiKeySection::put(const Key& key, Value value) {
-  auto it = refs_.find(key);
-  if (!held_ || it == refs_.end()) co_return OpStatus::NotLockHolder;
-  co_return co_await client_.critical_put(key, it->second, std::move(value));
+  CriticalSection* cs = section_of(key);
+  if (cs == nullptr) co_return OpStatus::NotLockHolder;
+  co_return co_await cs->put(std::move(value));
 }
 
 sim::Task<Result<Value>> MultiKeySection::get(const Key& key) {
-  auto it = refs_.find(key);
-  if (!held_ || it == refs_.end()) {
-    co_return Result<Value>::Err(OpStatus::NotLockHolder);
-  }
-  co_return co_await client_.critical_get(key, it->second);
+  CriticalSection* cs = section_of(key);
+  if (cs == nullptr) co_return Result<Value>::Err(OpStatus::NotLockHolder);
+  co_return co_await cs->get();
 }
 
 }  // namespace music::core

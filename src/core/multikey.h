@@ -5,20 +5,20 @@
 //  acquireLock on multiple keys is successful only if it is individually
 //  successful for all the keys in the key set."
 //
-// MultiKeySection implements exactly that on top of MusicClient: it
-// createLockRefs and acquires each key in lexicographic order, exposes
-// critical operations on any key in the set, and releases in reverse
-// order.  If any acquisition fails, everything already acquired is rolled
-// back (released / lock references evicted), so a failed multi-acquire
-// leaves no residue beyond orphan refs the failure detector collects.
+// MultiKeySection implements exactly that over any api::ClientApi, as one
+// core::CriticalSection per key: it enters each key's section in
+// lexicographic order, exposes critical operations on any key in the set,
+// and exits in reverse order.  If any entry fails, everything already
+// entered is rolled back (CriticalSection::enter evicts the failed key's
+// lockRef; the rest are released), so a failed multi-acquire leaves no
+// residue beyond orphan refs the failure detector collects.
 #pragma once
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "core/client.h"
+#include "core/session.h"
 
 namespace music::core {
 
@@ -27,7 +27,7 @@ namespace music::core {
 class MultiKeySection {
  public:
   /// `keys` in any order; duplicates are ignored.
-  MultiKeySection(MusicClient& client, std::vector<Key> keys)
+  MultiKeySection(api::ClientApi& client, std::vector<Key> keys)
       : client_(client) {
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -54,18 +54,16 @@ class MultiKeySection {
   /// True once acquire_all succeeded (and before release_all).
   bool held() const { return held_; }
 
-  /// The lock reference held for `key` (kNoLockRef if none).
-  LockRef ref_of(const Key& key) const {
-    auto it = refs_.find(key);
-    return it == refs_.end() ? kNoLockRef : it->second;
-  }
-
   const std::vector<Key>& keys() const { return keys_; }
 
  private:
-  MusicClient& client_;
-  std::vector<Key> keys_;            // lexicographic order
-  std::map<Key, LockRef> refs_;      // acquired so far
+  /// The held section for `key`, or null if `key` is not in the set or the
+  /// set is not held.
+  CriticalSection* section_of(const Key& key);
+
+  api::ClientApi& client_;
+  std::vector<Key> keys_;                 // lexicographic order
+  std::vector<CriticalSection> sections_;  // entered so far, in keys_ order
   bool held_ = false;
 };
 
