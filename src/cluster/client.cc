@@ -128,11 +128,9 @@ sim::Task<std::vector<core::BatchOpResult>> Client::execute_batch(
   // The batch is admitted to the lock key's shard only: a sub-op routed to
   // another shard would be acked into a group that does not own its key,
   // so nothing ships.
-  bool one_shard = g.ok();
-  for (size_t i = 0; one_shard && i < ops.size(); ++i) {
-    one_shard = map_->route(ops[i].key) == g.shard;
-  }
-  if (!one_shard) {
+  if (!g.ok() || !std::all_of(ops.begin(), ops.end(), [&](const auto& op) {
+        return map_->route(op.key) == g.shard;
+      })) {
     if (g.ok()) cluster_.complete(g.shard);
     co_return std::vector<core::BatchOpResult>(
         ops.size(), core::BatchOpResult(OpStatus::WrongShard));

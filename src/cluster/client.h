@@ -21,11 +21,6 @@
 // core::CriticalSection (lockRef on the slice's first key) whose Session
 // ships it as one batch, all shards flush in parallel, and results stitch
 // back in enqueue order — Ok-prefix semantics hold per shard.
-//
-// A single batch (execute_batch, and so a Session over this client) must
-// keep every sub-op on the lock key's shard: the replica that runs it holds
-// only that shard's lock and data, so a batch with a sub-op routed elsewhere
-// is not shipped and every entry comes back WrongShard.
 #pragma once
 
 #include <cstdint>

@@ -45,14 +45,13 @@ MusicReplica::MusicReplica(ds::StoreCluster& store, ls::LockBackend& locks,
       v2s_(cfg.t_max_cs) {}
 
 ds::StoreReplica& MusicReplica::coord() {
-  // execute() admits an op only while a store replica here is live.  If the
-  // last one crashed since, the op keeps a crashed local coordinator and
-  // fails as any op caught by the crash does.
+  // execute() admits an op only while a store replica here is live; if it
+  // crashed since, the op fails as any op caught by the crash does.
   return *store_.coordinator_at(site_, coord_rr_);
 }
 
 bool MusicReplica::has_live_store() const {
-  size_t probe = coord_rr_;  // a query, not a pick: leave the rotation be
+  size_t probe = 0;  // a query, not a pick: leave coord_rr_ alone
   const ds::StoreReplica* c = store_.coordinator_at(site_, probe);
   return c != nullptr && !c->down();
 }

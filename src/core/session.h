@@ -101,9 +101,6 @@ class Session : public OpQueue {
   /// Returns the batch roll-up status; per-op outcomes land in results().
   sim::Task<Status> flush();
 
-  const Key& key() const { return key_; }
-  LockRef ref() const { return ref_; }
-
  private:
   api::ClientApi& client_;
   Key key_;

@@ -385,12 +385,11 @@ class StoreCluster {
   /// A replica located at `site` (the one clients at that site talk to).
   StoreReplica& replica_at_site(int site);
 
-  /// The replica an op issued at `site` coordinates through: the next live
-  /// replica at `site` in round-robin order from `rr`, which it advances
-  /// (each caller keeps its own counter).  When every replica at `site` is
-  /// down it returns one of those, and null only when `site` hosts none.
-  /// It never returns another site's replica: that would be an in-process
-  /// call with no WAN hop.  Callers fail fast on a null or down() result.
+  /// The coordinator for an op at `site`: the next live replica there in
+  /// round-robin order from `rr` (advanced; each caller keeps its own).
+  /// Never another site's replica, which would be a call with no WAN hop:
+  /// with every replica at `site` down it returns one of them (null if
+  /// `site` hosts none), and callers fail fast on a null or down() result.
   StoreReplica* coordinator_at(int site, size_t& rr);
 
   /// The RF replicas storing `key`, in ring order.

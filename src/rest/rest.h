@@ -32,7 +32,9 @@
 //
 // A gateway binds any api::ClientApi — a plain core::MusicClient (one MUSIC
 // group) or a cluster::Client (sharded deployment; every verb then routes
-// through the ShardMap with the WrongShard retry discipline).  "status"
+// through the ShardMap with the WrongShard retry discipline, and a "batch"
+// whose sub-op keys leave the lock key's shard answers WrongShard for every
+// entry without shipping).  "status"
 // (keyless) reports the deployment shape via the interface's shard_count /
 // map_epoch.
 //

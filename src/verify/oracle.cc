@@ -292,14 +292,12 @@ void EcfChecker::on_batch_done(LockRef ref,
   for (size_t i = 0; i < ops.size() && i < results.size(); ++i) {
     const core::BatchOp& op = ops[i];
     const core::BatchOpResult& r = results[i];
-    if (op.kind == core::BatchOp::Kind::Put) {
-      if (r.status == OpStatus::Ok) on_put_acked(op.key, ref, op.value);
+    if (op.kind == core::BatchOp::Kind::Put && r.status == OpStatus::Ok) {
+      on_put_acked(op.key, ref, op.value);
     } else if (op.kind == core::BatchOp::Kind::Get) {
-      if (r.status == OpStatus::Ok) {
-        on_get_ok(op.key, ref, r.value);
-      } else if (r.status == OpStatus::NotFound) {
-        on_get_not_found(op.key, ref);
-      }
+      on_get(op.key, ref,
+             r.status == OpStatus::Ok ? Result<Value>::Ok(r.value)
+                                      : Result<Value>::Err(r.status));
     }
   }
 }

@@ -7,11 +7,11 @@
 // Latest-State properties hold in every reachable state.
 //
 // Here the same history variables are maintained at runtime by EcfChecker,
-// fed by instrumented clients (CheckedClient, cluster::Client), and the same properties are
-// asserted continuously while randomized property tests drive the system
-// through crashes, partitions, forced releases and false failure detection.
-// Bounded exhaustive enumeration is replaced by bounded randomized
-// exploration over many seeds (tests/music/ecf_property_test.cc).
+// fed by instrumented clients (CheckedClient, cluster::Client), and the same
+// properties are asserted continuously while randomized property tests drive
+// the system through crashes, partitions, forced releases and false failure
+// detection.  Bounded exhaustive enumeration is replaced by bounded
+// randomized exploration over many seeds (tests/music/ecf_property_test.cc).
 //
 // The §III refinement is encoded exactly: after a preemption, the next
 // lockholder's first read may return either the last acknowledged write or
@@ -83,7 +83,8 @@ class EcfChecker {
   void on_get(const Key& key, LockRef ref, const Result<Value>& r);
   /// A batch under `ref` shipped: each of its puts is now an attempt
   /// ("pending" in the Alloy sense) whether or not the replica aborts the
-  /// tail.  Deletes are unmodeled, as for the unbatched client.
+  /// tail.  Deletes are unmodeled, as for the unbatched client; checked
+  /// histories batch on the key whose lock they hold.
   void on_batch_sent(LockRef ref, const std::vector<core::BatchOp>& ops);
   /// The batch's per-op results came back: Ok puts are acks, gets are
   /// observations (results may be shorter than ops; the rest saw nothing).
