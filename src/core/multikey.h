@@ -22,8 +22,9 @@
 
 namespace music::core {
 
-/// RAII-styled (but explicitly driven: coroutines cannot release in a
-/// destructor) multi-key critical section.
+/// A multi-key critical section, driven explicitly (prefer release_all();
+/// a section dropped while held releases its keys fire-and-forget, as a
+/// CriticalSection does).
 class MultiKeySection {
  public:
   /// `keys` in any order; duplicates are ignored.
