@@ -4,8 +4,8 @@
 // partition — and the Exclusivity / Latest-State invariants must still
 // hold over the per-op batch results.  A Session over a CheckedClient
 // reports every queued put as attempted before the batch ships and
-// acks/reads from the aligned results, so a preempted tail shows up as pending-never-acked
-// attempts, exactly like a client that crashed mid-put.
+// acks/reads from the aligned results, so a preempted tail shows up as
+// pending-never-acked attempts, exactly like a client that crashed mid-put.
 #include <gtest/gtest.h>
 
 #include <memory>
