@@ -26,7 +26,6 @@
 #include "core/music.h"
 #include "datastore/store.h"
 #include "lockstore/lockstore.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
@@ -150,9 +149,9 @@ class BenchReport {
   bool written_ = false;
 };
 
-/// Attaches a Tracer + MetricsRegistry to a simulation for one run and
-/// exports both on dump().  Tracing stays off (and costs nothing) unless a
-/// bench constructs one of these.
+/// Attaches a Tracer + MetricsRegistry to a simulation for one run.
+/// Tracing stays off (and costs nothing) unless a bench constructs one of
+/// these.
 struct ObsSession {
   explicit ObsSession(sim::Simulation& sim) : sim_(sim) {
     tracer.set_registry(&metrics);
@@ -161,47 +160,6 @@ struct ObsSession {
   ~ObsSession() { sim_.set_tracer(nullptr); }
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
-
-  /// Folds end-of-run simulation and network totals into the registry.
-  void collect(sim::Network& net) {
-    net.export_metrics(metrics);
-    metrics.set("sim.events_run", sim_.events_run());
-    metrics.set("sim.now_us", static_cast<uint64_t>(sim_.now()));
-    metrics.set("trace.spans", tracer.spans().size());
-    metrics.set("trace.dropped_spans", tracer.dropped_spans());
-  }
-
-  /// Folds one replica's MUSIC operation counters into the registry.
-  void collect(const core::MusicStats& st, int site) {
-    std::string p = "music.s" + std::to_string(site) + ".";
-    metrics.set(p + "create_lock_ref", st.create_lock_ref);
-    metrics.set(p + "acquire_attempts", st.acquire_attempts);
-    metrics.set(p + "acquire_granted", st.acquire_granted);
-    metrics.set(p + "synchronizations", st.synchronizations);
-    metrics.set(p + "critical_puts", st.critical_puts);
-    metrics.set(p + "critical_gets", st.critical_gets);
-    metrics.set(p + "releases", st.releases);
-    metrics.set(p + "forced_releases", st.forced_releases);
-    metrics.set(p + "rejected_not_holder", st.rejected_not_holder);
-    metrics.set(p + "rejected_expired", st.rejected_expired);
-  }
-
-  /// Writes the Chrome trace and/or metrics dump.  Empty path = skip.
-  /// Metrics format follows the extension: ".csv" -> CSV, else JSON.
-  bool dump(const std::string& trace_path, const std::string& metrics_path) {
-    bool ok = true;
-    if (!trace_path.empty()) {
-      ok = obs::write_file(trace_path, obs::chrome_trace_json(tracer)) && ok;
-    }
-    if (!metrics_path.empty()) {
-      bool csv = metrics_path.size() >= 4 &&
-                 metrics_path.compare(metrics_path.size() - 4, 4, ".csv") == 0;
-      ok = obs::write_file(metrics_path, csv ? obs::metrics_csv(metrics)
-                                             : obs::metrics_json(metrics)) &&
-           ok;
-    }
-    return ok;
-  }
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;

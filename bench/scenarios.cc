@@ -16,10 +16,18 @@
 //                        workers (opt-in; changes checksums vs classic but
 //                        is worker-count invariant)
 //     --out-dir D        where <scenario>.csv / <scenario>.html land
+//     --trace-out P      write the run's Chrome trace_event JSON to P
+//     --metrics-out P    write the run's counters/histograms to P: CSV when
+//                        P ends in .csv, JSON otherwise
+//
+// The two export flags trace one world, so they need one spec whose
+// effective grid (after the caps and --max-cells) is exactly one cell, and
+// the classic kernel (no --par-sites).
 //
 // MUSIC_SCENARIO_SEEDS overrides the seed cap (like MUSIC_FAULT_SEEDS for
 // the fault matrix).  Exit: 0 all cells ok, 1 cell failures (oracle
-// violation or world error), 2 spec parse/usage errors.
+// violation or world error) or a failed export write, 2 spec parse/usage
+// errors.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +39,8 @@
 
 #include "common.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "scenario/report.h"
 #include "scenario/run.h"
 #include "scenario/spec.h"
@@ -48,7 +58,11 @@ struct Args {
   size_t max_cells = 0;
   size_t par_sites = 0;
   std::string out_dir = ".";
+  std::string trace_out;
+  std::string metrics_out;
   std::vector<std::string> inputs;
+
+  bool exports() const { return !trace_out.empty() || !metrics_out.empty(); }
 };
 
 void usage() {
@@ -58,7 +72,8 @@ void usage() {
                "                       [--warmup-sec S] [--measure-sec S] "
                "[--max-cells N]\n"
                "                       [--par-sites N] [--out-dir D] "
-               "FILE.scn|DIR ...\n");
+               "[--trace-out P] [--metrics-out P]\n"
+               "                       FILE.scn|DIR ...\n");
 }
 
 bool parse_args(int argc, char** argv, Args* a) {
@@ -86,15 +101,23 @@ bool parse_args(int argc, char** argv, Args* a) {
       a->max_cells = static_cast<size_t>(v);
     } else if (arg == "--par-sites" && next(&v)) {
       a->par_sites = static_cast<size_t>(v);
-    } else if (arg == "--out-dir") {
-      if (i + 1 >= argc) return false;
+    } else if (arg == "--out-dir" && i + 1 < argc) {
       a->out_dir = argv[++i];
+    } else if (arg == "--trace-out" && i + 1 < argc) {
+      a->trace_out = argv[++i];
+    } else if (arg == "--metrics-out" && i + 1 < argc) {
+      a->metrics_out = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return false;
     } else {
       a->inputs.push_back(arg);
     }
+  }
+  if (a->exports() && a->par_sites > 0) {
+    std::fprintf(stderr, "--trace-out/--metrics-out need the classic kernel "
+                         "(tracing is unsupported under --par-sites)\n");
+    return false;
   }
   return !a->inputs.empty();
 }
@@ -144,6 +167,29 @@ scn::RunOptions make_options(const Args& a) {
   return opt;
 }
 
+/// Writes the traced cell's Chrome trace and metrics dump (empty path =
+/// skip).  False when a write failed.
+bool write_exports(const Args& a, const obs::Tracer& tracer,
+                   const obs::MetricsRegistry& metrics) {
+  bool ok = true;
+  if (!a.trace_out.empty()) {
+    ok = obs::write_file(a.trace_out, obs::chrome_trace_json(tracer)) && ok;
+    std::printf("   trace: %zu spans (%llu dropped) -> %s\n",
+                tracer.spans().size(),
+                static_cast<unsigned long long>(tracer.dropped_spans()),
+                a.trace_out.c_str());
+  }
+  if (!a.metrics_out.empty()) {
+    const std::string& p = a.metrics_out;
+    bool csv = p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0;
+    ok = obs::write_file(p, csv ? obs::metrics_csv(metrics)
+                                : obs::metrics_json(metrics)) &&
+         ok;
+    std::printf("   metrics: %s -> %s\n", csv ? "csv" : "json", p.c_str());
+  }
+  return ok;
+}
+
 int run_one(const std::string& path, const Args& args,
             const scn::RunOptions& opt) {
   std::ifstream in(path);
@@ -172,14 +218,35 @@ int run_one(const std::string& path, const Args& args,
   // cells that actually ran (run_sweep reduces identically).
   scn::ScenarioSpec effective = scn::reduced(*spec, opt);
   std::vector<scn::Cell> cells = scn::expand(effective);
-  std::printf("== %s: %zu cells (%s)\n", effective.name.c_str(), cells.size(),
-              path.c_str());
+  size_t grid = cells.size();
   if (opt.max_cells > 0 && cells.size() > opt.max_cells) {
+    cells.resize(opt.max_cells);
+  }
+  if (args.exports() && cells.size() != 1) {
+    std::fprintf(stderr,
+                 "%s: --trace-out/--metrics-out need a grid of exactly one "
+                 "cell, this one has %zu (try --max-cells 1)\n",
+                 path.c_str(), cells.size());
+    return 2;
+  }
+  std::printf("== %s: %zu cells (%s)\n", effective.name.c_str(), grid,
+              path.c_str());
+  if (cells.size() < grid) {
     std::printf("   grid truncated to first %zu cells (--max-cells)\n",
-                opt.max_cells);
+                cells.size());
   }
   bench::WallTimer timer;
-  std::vector<scn::CellOutcome> outs = scn::run_sweep(effective, opt);
+  std::vector<scn::CellOutcome> outs;
+  bool exported = true;
+  if (args.exports()) {
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    tracer.set_registry(&metrics);
+    outs.push_back(scn::run_cell(cells[0], 0, &tracer));
+    exported = write_exports(args, tracer, metrics);
+  } else {
+    outs = scn::run_sweep(effective, opt);
+  }
 
   int rc = 0;
   for (const scn::CellOutcome& o : outs) {
@@ -204,6 +271,7 @@ int run_one(const std::string& path, const Args& args,
   std::printf("   %zu/%zu cells ok in %.1fs -> %s.{csv,html}%s\n", ok_cells,
               outs.size(), timer.elapsed_sec(), base.c_str(),
               wrote ? "" : " (write failed)");
+  if (!exported && rc == 0) rc = 1;
   return rc;
 }
 
@@ -219,6 +287,11 @@ int main(int argc, char** argv) {
   auto files = music::collect_specs(args.inputs);
   if (files.empty()) {
     std::fprintf(stderr, "no .scn files found\n");
+    return 2;
+  }
+  if (args.exports() && files.size() != 1) {
+    std::fprintf(stderr, "--trace-out/--metrics-out need exactly one spec "
+                         "file, got %zu\n", files.size());
     return 2;
   }
   auto opt = music::make_options(args);

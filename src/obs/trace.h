@@ -92,6 +92,7 @@ class Tracer {
 
   /// Attach a registry to receive per-span-name duration histograms.
   void set_registry(MetricsRegistry* r) { registry_ = r; }
+  MetricsRegistry* registry() const { return registry_; }
 
   const std::vector<Span>& spans() const { return spans_; }
   uint64_t dropped_spans() const { return dropped_; }

@@ -15,6 +15,7 @@
 #include "fault/fault.h"
 #include "fault/nemesis.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "par/par.h"
 #include "raftkv/txkv.h"
 #include "sim/simulation.h"
@@ -285,6 +286,67 @@ void collect_net(sim::Simulation& sim, sim::Network& net, CellOutcome* out) {
   out->events = sim.events_run();
 }
 
+/// Every replica's MusicStats per site and every shared client's
+/// ClientStats, summed over the cluster's groups.  The one place these
+/// counters reach a registry.
+void export_replicas(cluster::Cluster& cluster, obs::MetricsRegistry& reg) {
+  for (int g = 0; g < cluster.num_groups(); ++g) {
+    core::MusicGroup& grp = cluster.group(g);
+    for (const auto& rep : grp.replicas) {
+      const core::MusicStats& st = rep->stats();
+      // Built stepwise (GCC 12 -Werror=restrict, see ds::Cell note).
+      std::string p = "music.s";
+      p += std::to_string(rep->site());
+      p += ".";
+      reg.add(p + "create_lock_ref", st.create_lock_ref);
+      reg.add(p + "acquire_attempts", st.acquire_attempts);
+      reg.add(p + "acquire_granted", st.acquire_granted);
+      reg.add(p + "synchronizations", st.synchronizations);
+      reg.add(p + "critical_puts", st.critical_puts);
+      reg.add(p + "critical_gets", st.critical_gets);
+      reg.add(p + "releases", st.releases);
+      reg.add(p + "forced_releases", st.forced_releases);
+      reg.add(p + "rejected_not_holder", st.rejected_not_holder);
+      reg.add(p + "rejected_expired", st.rejected_expired);
+      reg.add(p + "batches", st.batches);
+      reg.add(p + "batched_ops", st.batched_ops);
+    }
+    for (const auto& c : grp.clients) {
+      const core::ClientStats& st = c->stats();
+      reg.add("client.attempts", st.attempts);
+      reg.add("client.retries", st.retries);
+      reg.add("client.retry_exhausted", st.retry_exhausted);
+      reg.add("client.deadline_exceeded", st.deadline_exceeded);
+      reg.add("client.demotions", st.demotions);
+    }
+  }
+}
+
+/// When the run is traced, folds its totals into the tracer's registry
+/// (if one is set) and detaches the tracer, so the world's teardown adds
+/// nothing to the trace.  `cluster` is null for zab/raftkv cells.
+void finish_trace(sim::Simulation& sim, sim::Network& net,
+                  const fault::Nemesis& nemesis, cluster::Cluster* cluster,
+                  const CellOutcome& out) {
+  obs::Tracer* tracer = sim.tracer();
+  if (tracer == nullptr) return;
+  sim.set_tracer(nullptr);
+  obs::MetricsRegistry* reg = tracer->registry();
+  if (reg == nullptr) return;
+  net.export_metrics(*reg);
+  nemesis.export_metrics(*reg);
+  if (cluster != nullptr) {
+    cluster->export_metrics(*reg);
+    export_replicas(*cluster, *reg);
+  }
+  reg->set("sim.events_run", sim.events_run());
+  reg->set("sim.now_us", static_cast<uint64_t>(sim.now()));
+  reg->set("run.completed", out.run.completed);
+  reg->set("run.failed", out.run.failed);
+  reg->set("trace.spans", tracer->spans().size());
+  reg->set("trace.dropped_spans", tracer->dropped_spans());
+}
+
 /// The fleet's negotiated wire-version floor given per-site max versions:
 /// the lowest version any site pair pins, or 0 if some pair shares none.
 int fleet_floor(const std::array<uint8_t, 3>& site_versions) {
@@ -329,11 +391,12 @@ void maybe_enable_pdes(sim::Simulation& sim, const sim::NetworkConfig& nc,
 /// A MUSIC or MSCP cell: a cluster::Cluster of `shards` groups (`shards 1`
 /// is one group) driven by one cluster::Client per logical client.
 CellOutcome run_cluster_cell(const Cell& cell, core::PutMode mode,
-                             size_t par_sites) {
+                             size_t par_sites, obs::Tracer* tracer) {
   CellOutcome out;
   out.label = cell.label();
 
   sim::Simulation sim(cell.seed);
+  sim.set_tracer(tracer);
   sim::NetworkConfig nc;
   nc.profile = profile_by_name(cell.profile());
   maybe_enable_pdes(sim, nc, par_sites);
@@ -404,14 +467,16 @@ CellOutcome run_cluster_cell(const Cell& cell, core::PutMode mode,
   out.violations = checker.violations().size();
   out.ok = checker.ok();
   if (!out.ok) out.error = checker.report();
+  finish_trace(sim, net, nemesis, &cluster, out);
   return out;
 }
 
-CellOutcome run_zab_cell(const Cell& cell) {
+CellOutcome run_zab_cell(const Cell& cell, obs::Tracer* tracer) {
   CellOutcome out;
   out.label = cell.label();
 
   sim::Simulation sim(cell.seed);
+  sim.set_tracer(tracer);
   sim::NetworkConfig nc;
   nc.profile = profile_by_name(cell.profile());
   sim::Network net(sim, nc);
@@ -439,14 +504,16 @@ CellOutcome run_zab_cell(const Cell& cell) {
 
   collect_net(sim, net, &out);
   out.ok = true;  // no MUSIC ops: the ECF oracle is vacuous for this cell
+  finish_trace(sim, net, nemesis, nullptr, out);
   return out;
 }
 
-CellOutcome run_cdb_cell(const Cell& cell) {
+CellOutcome run_cdb_cell(const Cell& cell, obs::Tracer* tracer) {
   CellOutcome out;
   out.label = cell.label();
 
   sim::Simulation sim(cell.seed);
+  sim.set_tracer(tracer);
   sim::NetworkConfig nc;
   nc.profile = profile_by_name(cell.profile());
   sim::Network net(sim, nc);
@@ -480,6 +547,7 @@ CellOutcome run_cdb_cell(const Cell& cell) {
 
   collect_net(sim, net, &out);
   out.ok = true;  // no MUSIC ops: the ECF oracle is vacuous for this cell
+  finish_trace(sim, net, nemesis, nullptr, out);
   return out;
 }
 
@@ -611,29 +679,33 @@ sim::LatencyProfile profile_by_name(const std::string& name) {
   return sim::LatencyProfile::profile_lus();
 }
 
-CellOutcome run_cell(const Cell& cell, size_t par_sites) {
+CellOutcome run_cell(const Cell& cell, size_t par_sites, obs::Tracer* tracer) {
   auto t0 = std::chrono::steady_clock::now();
   CellOutcome out;
   try {
     std::string err = validate(cell.point);
+    if (err.empty() && tracer != nullptr && par_sites > 0) {
+      err = "tracing is unsupported under PDES (par_sites > 0)";
+    }
     if (!err.empty()) {
       out.label = cell.label();
       out.error = err;
     } else {
       switch (cell.protocol()) {
         case Protocol::Music:
-          out = run_cluster_cell(cell, core::PutMode::Quorum, par_sites);
+          out = run_cluster_cell(cell, core::PutMode::Quorum, par_sites,
+                                 tracer);
           break;
         case Protocol::Mscp:
-          out = run_cluster_cell(cell, core::PutMode::Lwt, par_sites);
+          out = run_cluster_cell(cell, core::PutMode::Lwt, par_sites, tracer);
           break;
         case Protocol::Zab:
           // The zab/raftkv substitutes are not lane-safe; they always run
           // on the classic kernel regardless of par_sites.
-          out = run_zab_cell(cell);
+          out = run_zab_cell(cell, tracer);
           break;
         case Protocol::RaftKv:
-          out = run_cdb_cell(cell);
+          out = run_cdb_cell(cell, tracer);
           break;
       }
     }

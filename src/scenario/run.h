@@ -15,6 +15,10 @@
 #include "sim/network.h"
 #include "workload/stats.h"
 
+namespace music::obs {
+class Tracer;
+}
+
 namespace music::scn {
 
 /// What one cell did.  Plain value, filled on the worker thread.
@@ -79,7 +83,16 @@ sim::LatencyProfile profile_by_name(const std::string& name);
 /// Builds and runs one cell's world, oracle armed.  Never throws: setup
 /// problems come back as ok=false with the error filled.  `par_sites` > 0
 /// runs music/mscp cells under PDES (see RunOptions::par_sites).
-CellOutcome run_cell(const Cell& cell, size_t par_sites = 0);
+///
+/// With a `tracer` (classic kernel only: par_sites must be 0) the world
+/// runs traced, and after the run its totals land in the tracer's registry
+/// when the caller set one: the Network, Nemesis and (music/mscp) Cluster
+/// exports, `music.s<site>.*` and `client.*` summed over the groups,
+/// `sim.events_run`, `sim.now_us`, `run.completed`, `run.failed`,
+/// `trace.spans` and `trace.dropped_spans`.  Tracing leaves the schedule,
+/// and so checksum(), unchanged.
+CellOutcome run_cell(const Cell& cell, size_t par_sites = 0,
+                     obs::Tracer* tracer = nullptr);
 
 /// Applies `opt`'s caps to a copy of the spec (reduced grids for ctest).
 ScenarioSpec reduced(ScenarioSpec spec, const RunOptions& opt);

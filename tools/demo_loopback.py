@@ -137,10 +137,18 @@ def main():
             s = json.loads(resp.read())
         expect(s["shard_count"] == 1, "status reports deployment shape")
 
-        with urllib.request.urlopen(f"{base}/v1/metrics", timeout=10) as resp:
-            m = json.loads(resp.read())
-        expect(m["counters"]["transport.connected_peers"] == 3,
-               "gateway connected to all 3 sites")
+        # The flow above only talks to site 0, so the gateway's hellos to
+        # sites 1 and 2 may still be in flight: poll until all 3 are up.
+        deadline = time.monotonic() + 10
+        while True:
+            with urllib.request.urlopen(f"{base}/v1/metrics",
+                                        timeout=10) as resp:
+                m = json.loads(resp.read())
+            peers = m["counters"]["transport.connected_peers"]
+            if peers == 3 or time.monotonic() >= deadline:
+                break
+            time.sleep(0.05)
+        expect(peers == 3, "gateway connected to all 3 sites")
         expect(m["counters"]["client.attempts"] >= 6, "metrics count attempts")
 
         print("shutting down ...")
