@@ -57,7 +57,7 @@ CellResult raft_cell(const sim::LatencyProfile& lus, int batch) {
   nc.profile = lus;
   sim::Network net(s, nc);
   ds::StoreCluster store(s, net, ds::StoreConfig{}, {0, 1, 2});
-  raftkv::RaftCluster raft(s, net, raftkv::RaftConfig{}, {0, 1, 2});
+  raftkv::RaftCluster raft(s, net, {0, 1, 2});
   raft.start();
   raft.wait_for_leader();
   ls::RaftLockStore locks(raft);

@@ -232,7 +232,7 @@ struct ZkWorld {
               c.profile = profile;
               return c;
             }()),
-        ens(sim, net, zab::ZabConfig{}, {0, 1, 2}) {
+        ens(sim, net, {0, 1, 2}) {
     ens.start();
     for (int site = 0; site < 3; ++site) {
       for (int i = 0; i < clients_per_site; ++i) {
@@ -264,7 +264,7 @@ struct CdbWorld {
               c.profile = profile;
               return c;
             }()),
-        cluster(sim, net, raftkv::RaftConfig{}, {0, 1, 2}) {
+        cluster(sim, net, {0, 1, 2}) {
     cluster.start();
     cluster.wait_for_leader();
     int id = 0;

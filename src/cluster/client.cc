@@ -9,6 +9,15 @@
 
 namespace music::cluster {
 
+namespace {
+
+/// Route attempts per op before surfacing WrongShard to the caller.
+constexpr int kMaxRouteAttempts = 4096;
+/// Pause between route attempts (a frozen shard unfreezes in ~ms).
+constexpr sim::Duration kRouteBackoff = sim::ms(2);
+
+}  // namespace
+
 Client::Client(Cluster& cluster, int site, verify::EcfChecker* checker,
                ClientOptions opt)
     : cluster_(cluster),
@@ -19,7 +28,7 @@ Client::Client(Cluster& cluster, int site, verify::EcfChecker* checker,
       map_(cluster.snapshot()) {}
 
 sim::Task<RouteGrant> Client::admit_route(Key key) {
-  for (int attempt = 0; attempt < opt_.max_route_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
     int shard = map_->route(key);
     if (shard < 0) co_return RouteGrant();  // empty ring: unroutable
     Status gate = cluster_.admit(shard, map_->epoch());
@@ -43,7 +52,7 @@ sim::Task<RouteGrant> Client::admit_route(Key key) {
       map_ = cluster_.snapshot();
       stats_.map_refreshes += 1;
     }
-    co_await sim::sleep_for(sim_, opt_.route_backoff);
+    co_await sim::sleep_for(sim_, kRouteBackoff);
   }
   co_return RouteGrant();
 }
@@ -87,7 +96,7 @@ sim::Task<Status> Client::acquire_lock_blocking(Key key, LockRef ref) {
     if (!is_retryable(last) && last != OpStatus::NotYetHolder) {
       co_return st;
     }
-    co_await sim::sleep_for(sim_, opt_.poll_backoff);
+    co_await sim::sleep_for(sim_, core::kPollBackoff);
   }
   co_return Status::Err(last == OpStatus::NotYetHolder ? OpStatus::Timeout
                                                        : last);

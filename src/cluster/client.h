@@ -37,14 +37,8 @@
 namespace music::cluster {
 
 struct ClientOptions {
-  /// Route attempts per op before surfacing WrongShard to the caller.
-  int max_route_attempts = 4096;
-  /// Pause between route attempts (a frozen shard unfreezes in ~ms).
-  sim::Duration route_backoff = sim::ms(2);
   /// Polls allowed for one acquire_lock_blocking loop.
-  int max_poll_attempts = 4096;
-  /// Pause between acquireLock polls.
-  sim::Duration poll_backoff = sim::ms(2);
+  int max_poll_attempts = core::kMaxPollAttempts;
 };
 
 struct ClusterClientStats {

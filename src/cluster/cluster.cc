@@ -13,6 +13,9 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// Virtual nodes per shard on the ring.
+constexpr int kVnodes = 64;
+
 /// The MUSIC key behind a data-store row key ("!d:k7" -> "k7").  Every
 /// MUSIC row prefix ends with ':'.
 std::string_view music_key_of(std::string_view row) {
@@ -30,7 +33,7 @@ Cluster::Cluster(sim::Simulation& sim, sim::Network& net, ClusterConfig cfg)
          "network profile must cover every cluster site");
   int ngroups = cfg_.groups > 0 ? cfg_.groups : cfg_.shards;
   if (ngroups > cfg_.shards) ngroups = cfg_.shards;
-  ring_ = Ring(cfg_.shards, cfg_.vnodes);
+  ring_ = Ring(cfg_.shards, kVnodes);
   group_of_shard_.resize(static_cast<size_t>(cfg_.shards));
   for (int s = 0; s < cfg_.shards; ++s) {
     group_of_shard_[static_cast<size_t>(s)] = s % ngroups;

@@ -56,8 +56,6 @@ struct ClusterConfig {
   /// MUSIC groups; 0 = one group per shard.  Shard s starts at group
   /// s % groups.
   int groups = 0;
-  /// Virtual nodes per shard on the ring.
-  int vnodes = 64;
   /// Sites the cluster spreads over (clamped to >= 3).  At the default 3
   /// every group lives on sites {0,1,2} exactly as before the knob existed.
   /// More sites stagger each group's three home sites round-robin

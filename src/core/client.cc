@@ -9,6 +9,12 @@ namespace music::core {
 
 namespace {
 
+/// Consecutive transient failures at one replica before the client demotes
+/// it in the preference order (quarantine).
+constexpr int kHealthFailThreshold = 3;
+/// How long a demoted replica is skipped before being probed again.
+constexpr sim::Duration kHealthQuarantine = sim::sec(2);
+
 /// Replica-side request wrapper: runs the dispatched coroutine and hands
 /// the response to the transport's completion.  Named free-function
 /// coroutine with by-value user-ctor parameters (the GCC-12-safe shape).
@@ -159,9 +165,9 @@ void MusicClient::note_result(size_t idx, bool responsive) {
     return;
   }
   ++h.consecutive_failures;
-  if (h.consecutive_failures >= cfg_.health_fail_threshold) {
+  if (h.consecutive_failures >= kHealthFailThreshold) {
     if (sim_.now() >= h.quarantined_until) ++stats_.demotions;
-    h.quarantined_until = sim_.now() + cfg_.health_quarantine;
+    h.quarantined_until = sim_.now() + kHealthQuarantine;
   }
 }
 
@@ -179,7 +185,7 @@ sim::Duration MusicClient::next_backoff(sim::Duration prev) {
 
 sim::Task<Response> MusicClient::invoke(net::PeerId peer, Request req) {
   auto reply =
-      transport_->invoke(node_, peer, std::move(req), cfg_.overhead_bytes);
+      transport_->invoke(node_, peer, std::move(req), sim::kFramingBytes);
   auto got = co_await sim::await_with_timeout<Response>(sim_, reply,
                                                         cfg_.request_timeout);
   if (!got) co_return Response(OpStatus::Timeout);
@@ -240,7 +246,7 @@ sim::Task<Status> MusicClient::acquire_lock_blocking(Key key, LockRef ref) {
   // Listing 1: while (acquireLock(key, lockRef) != true) skip;  — with the
   // paper's "standard back-off mechanisms".
   OpStatus last = OpStatus::Timeout;
-  for (int attempt = 0; attempt < cfg_.max_poll_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxPollAttempts; ++attempt) {
     // Stick with one replica for 8 polls before rotating; the health table
     // steers polls away from dead/gray replicas.
     int idx = pick_replica(attempt / 8);
@@ -256,7 +262,7 @@ sim::Task<Status> MusicClient::acquire_lock_blocking(Key key, LockRef ref) {
     if (!is_retryable(last) && last != OpStatus::NotYetHolder) {
       co_return Status(last);
     }
-    co_await sim::sleep_for(sim_, cfg_.poll_backoff);
+    co_await sim::sleep_for(sim_, kPollBackoff);
   }
   co_return Status(OpStatus::Timeout);
 }

@@ -30,6 +30,13 @@
 
 namespace music::core {
 
+/// Listing 1's polling discipline, shared by every acquire-poll loop
+/// (MusicClient, cluster::Client, the YCSB workload): at most this many
+/// acquireLock polls per loop, this long apart (the paper's "standard
+/// back-off mechanisms").
+inline constexpr int kMaxPollAttempts = 4096;
+inline constexpr sim::Duration kPollBackoff = sim::ms(2);
+
 /// Client-side tunables.
 struct ClientConfig {
   /// Give up on a single request to one replica after this long.
@@ -37,10 +44,6 @@ struct ClientConfig {
   /// Total attempts per operation across replicas before reporting
   /// RetryExhausted.
   int max_attempts = 24;
-  /// Attempts allowed for one acquire_lock_blocking polling loop.
-  int max_poll_attempts = 4096;
-  /// Pause between acquireLock polls (Listing 1's back-off).
-  sim::Duration poll_backoff = sim::ms(2);
   /// First retry pause after a Nacked/timed-out operation.  Subsequent
   /// pauses grow exponentially with decorrelated jitter: each is drawn
   /// uniformly from [base, min(cap, 3 x previous)].
@@ -50,13 +53,6 @@ struct ClientConfig {
   /// Total budget for one operation including retries; once spent, the op
   /// returns RetryExhausted even with attempts left.  0 disables it.
   sim::Duration op_deadline = 0;
-  /// Consecutive transient failures at one replica before the client
-  /// demotes it in the preference order (quarantine).
-  int health_fail_threshold = 3;
-  /// How long a demoted replica is skipped before being probed again.
-  sim::Duration health_quarantine = sim::sec(2);
-  /// Request framing size.
-  size_t overhead_bytes = 96;
 };
 
 /// Client-side counters (retry discipline + replica health), for metrics

@@ -16,6 +16,11 @@ const std::string kTombstone = "\x01__music_tombstone__";
 
 bool is_tombstone(const Value& v) { return v.data == kTombstone; }
 
+/// delta for forcedRelease's synchFlag stamp, in microseconds past the
+/// released holder's maximum possible stamp.  The paper's production value
+/// is 1 us; it must be > 0 (see bench_ablation).
+constexpr sim::Duration kDelta = 1;
+
 /// Codec for the !st row: "<ref>:<origin_us>".
 std::string encode_origin(LockRef ref, sim::Time at) {
   return std::to_string(ref) + ":" + std::to_string(at);
@@ -226,11 +231,12 @@ sim::Task<Result<Value>> MusicReplica::critical_get(Key key, LockRef ref) {
     co_return Result<Value>::Err(OpStatus::CsExpired);
   }
   auto r = co_await coord().get(data_key(key), ds::Consistency::Quorum);
+  // A NotFound or tombstone answer is a quorum answer too: count the read.
+  if (r.ok() || r.status() == OpStatus::NotFound) ++stats_.critical_gets;
   if (!r.ok()) co_return Result<Value>::Err(r.status());
   if (is_tombstone(r.value().value)) {
     co_return Result<Value>::Err(OpStatus::NotFound);
   }
-  ++stats_.critical_gets;
   note_activity(key);
   co_return Result<Value>::Ok(r.value().value);
 }
@@ -347,10 +353,12 @@ sim::Task<std::vector<BatchOpResult>> MusicReplica::execute_batch(
           co_await coord().get_cells(std::move(dkeys), ds::Consistency::Quorum);
       for (size_t i = 0; i < round.size(); ++i) {
         auto& rr = rs[i];
+        if (rr.ok() || rr.status() == OpStatus::NotFound) {
+          ++stats_.critical_gets;
+        }
         if (rr.ok() && is_tombstone(rr.value().value)) {
           results[round[i]] = BatchOpResult(OpStatus::NotFound);
         } else if (rr.ok()) {
-          ++stats_.critical_gets;
           results[round[i]] =
               BatchOpResult(OpStatus::Ok, std::move(rs[i]).value().value);
         } else {
@@ -410,7 +418,7 @@ sim::Task<Status> MusicReplica::forced_release(Key key, LockRef ref) {
   // cannot miss it.
   auto sf = co_await coord().put(
       synch_flag_key(key),
-      ds::Cell(Value("1"), v2s_.encode_forced_release(ref, cfg_.delta)),
+      ds::Cell(Value("1"), v2s_.encode_forced_release(ref, kDelta)),
       ds::Consistency::Quorum);
   if (!sf.ok()) co_return OpStatus::Nack;
   auto dq = co_await locks_.backend_dequeue(site_, key, ref);

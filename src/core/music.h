@@ -52,10 +52,6 @@ struct MusicConfig {
   /// T: the maximum critical-section duration (§VI).  Operations past the
   /// bound are rejected with CsExpired.
   sim::Duration t_max_cs = sim::sec(60);
-  /// delta for forcedRelease's synchFlag stamp, in microseconds past the
-  /// released holder's maximum possible stamp.  The paper's production
-  /// value is 1 us; it must be > 0 (see bench_ablation).
-  sim::Duration delta = 1;
   /// Critical-put implementation (MUSIC vs MSCP).
   PutMode put_mode = PutMode::Quorum;
   /// Compute model of the MUSIC replica process itself.

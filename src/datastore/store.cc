@@ -10,6 +10,15 @@ namespace music::ds {
 
 namespace {
 
+/// How long a coordinator waits for each phase's quorum before failing the
+/// operation back to the client (who then retries, §III).
+constexpr sim::Duration kOpTimeout = sim::ms(1500);
+/// Period of the hinted-handoff replay loop.
+constexpr sim::Duration kHintReplayInterval = sim::ms(250);
+/// LWT contention handling: ballot attempts per LWT and the first backoff.
+constexpr int kLwtMaxAttempts = 32;
+constexpr sim::Duration kLwtRetryBackoff = sim::ms(4);
+
 /// FNV-1a hash for ring placement (stable across platforms, unlike
 /// std::hash<std::string>).
 uint64_t fnv1a(const std::string& s) {
@@ -148,7 +157,7 @@ sim::Future<wire::StoreReply> StoreReplica::call_store(
     sim::NodeId to, wire::StoreRequest msg, size_t bytes, size_t reply_bytes,
     sim::MsgKind kind, sim::MsgKind reply_kind) {
   return cluster_.transport().store_call(node_, to, std::move(msg), bytes,
-                                         reply_bytes, cfg().overhead_bytes,
+                                         reply_bytes, sim::kFramingBytes,
                                          kind, reply_kind);
 }
 
@@ -180,7 +189,7 @@ void StoreReplica::reset_volatile() {
 sim::Task<Status> StoreReplica::put(Key key, Cell cell, Consistency level) {
   sim::OpSpan span(sim(), "store.put", site_, node_, key);
   auto targets = cluster_.placement(key);
-  int need = need_for(level, cfg().replication_factor);
+  int need = need_for(level, kReplicationFactor);
   size_t bytes = cell.value.size() + key.size();
   // One write round: a WAN round trip unless a single (local) ack suffices.
   if (level != Consistency::One) sim::trace_rtts(sim(), 1);
@@ -196,7 +205,7 @@ sim::Task<Status> StoreReplica::put(Key key, Cell cell, Consistency level) {
                               /*reply_bytes=*/16, sim::MsgKind::StoreWrite));
   }
   auto got = co_await sim::await_count<wire::StoreReply>(
-      sim(), std::move(acks), static_cast<size_t>(need), cfg().op_timeout);
+      sim(), std::move(acks), static_cast<size_t>(need), kOpTimeout);
   if (got.size() < static_cast<size_t>(need)) co_return OpStatus::Timeout;
   co_return Status::Ok();
 }
@@ -223,7 +232,7 @@ auto StoreReplica::issue_reads(const Key& key,
 sim::Task<Result<Cell>> StoreReplica::resolve_read(
     Key key, int need, std::vector<sim::Future<wire::StoreReply>> reps) {
   auto got = co_await sim::await_count<wire::StoreReply>(
-      sim(), reps, static_cast<size_t>(need), cfg().op_timeout);
+      sim(), reps, static_cast<size_t>(need), kOpTimeout);
   if (got.size() < static_cast<size_t>(need)) {
     co_return Result<Cell>::Err(OpStatus::Timeout);
   }
@@ -253,7 +262,7 @@ sim::Task<Result<Cell>> StoreReplica::resolve_read(
 sim::Task<Result<Cell>> StoreReplica::get(Key key, Consistency level) {
   sim::OpSpan span(sim(), "store.get", site_, node_, key);
   auto targets = cluster_.placement(key);
-  int need = need_for(level, cfg().replication_factor);
+  int need = need_for(level, kReplicationFactor);
   if (level == Consistency::One) {
     // Prefer the local replica if this coordinator stores the key (the
     // common case for MUSIC's lsPeek and eventual get).
@@ -278,7 +287,7 @@ sim::Task<std::vector<Status>> StoreReplica::put_cells(
   sim::OpSpan span(sim(), "store.put_cells", site_, node_,
                    writes.empty() ? std::string_view{}
                                   : std::string_view{writes.front().key});
-  int need = need_for(level, cfg().replication_factor);
+  int need = need_for(level, kReplicationFactor);
   // One shared write round: every key's fan-out is issued before any quorum
   // wait, so the replies overlap and N independent keys cost one WAN round
   // trip, not N.
@@ -303,7 +312,7 @@ sim::Task<std::vector<Status>> StoreReplica::put_cells(
   for (size_t i = 0; i < writes.size(); ++i) {
     auto got = co_await sim::await_count<wire::StoreReply>(
         sim(), std::move(acks[i]), static_cast<size_t>(need),
-        cfg().op_timeout);
+        kOpTimeout);
     out.push_back(got.size() < static_cast<size_t>(need)
                       ? Status::Err(OpStatus::Timeout)
                       : Status::Ok());
@@ -316,7 +325,7 @@ sim::Task<std::vector<Result<Cell>>> StoreReplica::get_cells(
   sim::OpSpan span(sim(), "store.get_cells", site_, node_,
                    keys.empty() ? std::string_view{}
                                 : std::string_view{keys.front()});
-  int need = need_for(level, cfg().replication_factor);
+  int need = need_for(level, kReplicationFactor);
   // One shared read round (see put_cells): issue every key's fan-out before
   // resolving any quorum.
   if (!keys.empty()) sim::trace_rtts(sim(), 1);
@@ -365,13 +374,13 @@ sim::Task<Result<LwtOutcome>> StoreReplica::lwt(Key key,
   const int q = cluster_.quorum();
   const size_t small = 48;
 
-  for (int attempt = 0; attempt < cfg().lwt_max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kLwtMaxAttempts; ++attempt) {
     if (attempt > 0) {
       // Contention backoff: exponential with jitter, capped (as Cassandra's
       // Paxos retry does) — constant backoff livelocks under many
       // contending proposers.
       int shift = std::min(attempt - 1, 5);
-      auto base = cfg().lwt_retry_backoff << shift;
+      auto base = kLwtRetryBackoff << shift;
       co_await sim::sleep_for(
           sim(), base + sim().rng().uniform_int(0, base));
     }
@@ -386,7 +395,7 @@ sim::Task<Result<LwtOutcome>> StoreReplica::lwt(Key key,
                                     sim::MsgKind::PaxosPrepare));
     }
     auto promises = co_await sim::await_count<wire::StoreReply>(
-        sim(), std::move(prepares), static_cast<size_t>(q), cfg().op_timeout);
+        sim(), std::move(prepares), static_cast<size_t>(q), kOpTimeout);
     if (promises.size() < static_cast<size_t>(q)) {
       co_return Result<LwtOutcome>::Err(OpStatus::Timeout);
     }
@@ -418,7 +427,7 @@ sim::Task<Result<LwtOutcome>> StoreReplica::lwt(Key key,
             sim::MsgKind::PaxosAccept));
       }
       auto ack = co_await sim::await_count<wire::StoreReply>(
-          sim(), std::move(accs), static_cast<size_t>(q), cfg().op_timeout);
+          sim(), std::move(accs), static_cast<size_t>(q), kOpTimeout);
       bool all_ok = ack.size() >= static_cast<size_t>(q);
       for (const auto& a : ack) all_ok = all_ok && a.ok;
       if (all_ok) {
@@ -432,7 +441,7 @@ sim::Task<Result<LwtOutcome>> StoreReplica::lwt(Key key,
         }
         co_await sim::await_count<wire::StoreReply>(sim(), std::move(commits),
                                                     static_cast<size_t>(q),
-                                                    cfg().op_timeout);
+                                                    kOpTimeout);
       }
       continue;  // now retry our own update
     }
@@ -477,7 +486,7 @@ sim::Task<Result<LwtOutcome>> StoreReplica::lwt(Key key,
                      sim::MsgKind::PaxosAccept));
     }
     auto acks = co_await sim::await_count<wire::StoreReply>(
-        sim(), std::move(accs), static_cast<size_t>(q), cfg().op_timeout);
+        sim(), std::move(accs), static_cast<size_t>(q), kOpTimeout);
     if (acks.size() < static_cast<size_t>(q)) {
       co_return Result<LwtOutcome>::Err(OpStatus::Timeout);
     }
@@ -500,7 +509,7 @@ sim::Task<Result<LwtOutcome>> StoreReplica::lwt(Key key,
                      sim::MsgKind::PaxosCommit));
     }
     auto done = co_await sim::await_count<wire::StoreReply>(
-        sim(), std::move(commits), static_cast<size_t>(q), cfg().op_timeout);
+        sim(), std::move(commits), static_cast<size_t>(q), kOpTimeout);
     if (done.size() < static_cast<size_t>(q)) {
       // Accepted but commit acknowledgment failed: a later LWT will replay
       // it; report Timeout so the caller retries (idempotent updates).
@@ -516,7 +525,7 @@ void StoreReplica::leave_hint(sim::NodeId target, const Key& key,
   hints_.push_back(Hint{target, key, cell});
   if (hint_loop_running_) return;
   hint_loop_running_ = true;
-  sim().schedule(cfg().hint_replay_interval, [this] { replay_hints(); });
+  sim().schedule(kHintReplayInterval, [this] { replay_hints(); });
 }
 
 void StoreReplica::replay_hints() {
@@ -536,7 +545,7 @@ void StoreReplica::replay_hints() {
     hint_loop_running_ = false;
     return;
   }
-  sim().schedule(cfg().hint_replay_interval, [this] { replay_hints(); });
+  sim().schedule(kHintReplayInterval, [this] { replay_hints(); });
 }
 
 // ---- StoreCluster ----------------------------------------------------------
@@ -545,7 +554,7 @@ StoreCluster::StoreCluster(sim::Simulation& sim, sim::Network& net,
                            StoreConfig cfg, const std::vector<int>& node_sites,
                            net::Transport* transport)
     : sim_(sim), net_(net), cfg_(std::move(cfg)) {
-  assert(static_cast<int>(node_sites.size()) >= cfg_.replication_factor);
+  assert(static_cast<int>(node_sites.size()) >= kReplicationFactor);
   for (int site : node_sites) {
     sim::NodeId id = net_.add_node(site);
     replicas_.push_back(std::make_unique<StoreReplica>(*this, id, site));
@@ -651,7 +660,7 @@ void StoreCluster::anti_entropy_round(int idx) {
 
 std::vector<sim::NodeId> StoreCluster::placement(const Key& key) const {
   int n = static_cast<int>(replicas_.size());
-  int rf = std::min(cfg_.replication_factor, n);
+  int rf = std::min(kReplicationFactor, n);
   int start = static_cast<int>(fnv1a(key) % static_cast<uint64_t>(n));
   std::vector<sim::NodeId> out;
   out.reserve(static_cast<size_t>(rf));

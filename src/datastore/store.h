@@ -155,13 +155,11 @@ struct WriteCell {
   WriteCell(Key k, Cell c) : key(std::move(k)), cell(std::move(c)) {}
 };
 
+/// Replicas per key.  The paper keeps one copy per site.
+inline constexpr int kReplicationFactor = 3;
+
 /// Tunables for the store.
 struct StoreConfig {
-  /// Replicas per key.  The paper keeps one copy per site.
-  int replication_factor = 3;
-  /// How long a coordinator waits for each phase's quorum before failing
-  /// the operation back to the client (who then retries, §III).
-  sim::Duration op_timeout = sim::ms(1500);
   /// Repair stale replicas after quorum reads.
   bool read_repair = true;
   /// Periodic anti-entropy repair (Cassandra's `nodetool repair` made
@@ -171,21 +169,13 @@ struct StoreConfig {
   sim::Duration anti_entropy_interval = sim::sec(5);
   /// Store and replay writes for unreachable replicas.
   bool hinted_handoff = true;
-  sim::Duration hint_replay_interval = sim::ms(250);
-  /// LWT contention handling.
-  int lwt_max_attempts = 32;
-  sim::Duration lwt_retry_backoff = sim::ms(4);
-  /// Per-message framing overhead added to payload sizes.
-  size_t overhead_bytes = 96;
   /// Workload hint: expected distinct keys per replica.  When nonzero each
   /// replica reserves its value table and Paxos acceptor table up front so
   /// steady-state writes never rehash (benches and soak tests know their key
   /// population; 0 keeps the default growth policy).
   size_t expected_keys = 0;
-  /// Compute model for each replica.  The 190us base cost calibrates a
-  /// 3-node cluster's eventual-write capacity to the ~41k op/s the paper
-  /// reports for CassaEV (Fig. 4a), i.e. real Cassandra's per-op overhead.
-  sim::ServiceConfig service{8, 190, 2.0};
+  /// Compute model for each replica (the testbed server by default).
+  sim::ServiceConfig service = sim::kServerModel;
 };
 
 class StoreCluster;
@@ -251,7 +241,7 @@ class StoreReplica {
 
   /// Light-weight transaction (4 round trips).  Runs `update` against the
   /// committed value; commits its decision under Paxos.  Retries internally
-  /// on ballot contention up to lwt_max_attempts.
+  /// on ballot contention up to kLwtMaxAttempts times.
   ///
   /// `update` MUST be a named lvalue in the calling coroutine's frame, not
   /// a lambda temporary at the call site (GCC 12 miscompiles callable
@@ -396,7 +386,7 @@ class StoreCluster {
   std::vector<sim::NodeId> placement(const Key& key) const;
 
   /// Majority of the replication factor.
-  int quorum() const { return cfg_.replication_factor / 2 + 1; }
+  int quorum() const { return kReplicationFactor / 2 + 1; }
 
   /// Finds the replica object for a node id.
   StoreReplica& by_node(sim::NodeId n) { return *by_node_.at(n); }

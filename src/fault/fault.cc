@@ -388,109 +388,6 @@ std::optional<Schedule> Schedule::parse(std::string_view script,
   return s;
 }
 
-Schedule& Schedule::add(FaultSpec spec) {
-  specs_.push_back(std::move(spec));
-  return *this;
-}
-
-Schedule& Schedule::partition_at(sim::Time at, std::set<int> a,
-                                 std::set<int> b, sim::Duration dur) {
-  FaultSpec s;
-  s.kind = FaultKind::Partition;
-  s.at = at;
-  s.duration = dur;
-  s.side_a = std::move(a);
-  s.side_b = std::move(b);
-  return add(std::move(s));
-}
-
-Schedule& Schedule::blackhole_at(sim::Time at, int from, int to,
-                                 sim::Duration dur, bool bidirectional) {
-  FaultSpec s;
-  s.kind = FaultKind::Blackhole;
-  s.at = at;
-  s.duration = dur;
-  s.from_site = from;
-  s.to_site = to;
-  s.bidirectional = bidirectional;
-  return add(std::move(s));
-}
-
-Schedule& Schedule::gray_at(sim::Time at, int from, int to, double loss,
-                            double delay_ms, sim::Duration dur,
-                            bool bidirectional) {
-  FaultSpec s;
-  s.kind = FaultKind::GrayLink;
-  s.at = at;
-  s.duration = dur;
-  s.from_site = from;
-  s.to_site = to;
-  s.bidirectional = bidirectional;
-  s.loss = loss;
-  s.delay_ms = delay_ms;
-  return add(std::move(s));
-}
-
-Schedule& Schedule::spike_at(sim::Time at, int from, int to, double delay_ms,
-                             sim::Duration dur, bool bidirectional) {
-  FaultSpec s;
-  s.kind = FaultKind::LatencySpike;
-  s.at = at;
-  s.duration = dur;
-  s.from_site = from;
-  s.to_site = to;
-  s.bidirectional = bidirectional;
-  s.delay_ms = delay_ms;
-  return add(std::move(s));
-}
-
-Schedule& Schedule::dup_at(sim::Time at, int from, int to, double prob,
-                           sim::Duration dur, bool bidirectional) {
-  FaultSpec s;
-  s.kind = FaultKind::Duplication;
-  s.at = at;
-  s.duration = dur;
-  s.from_site = from;
-  s.to_site = to;
-  s.bidirectional = bidirectional;
-  s.dup_prob = prob;
-  return add(std::move(s));
-}
-
-Schedule& Schedule::crash_store_at(sim::Time at, int replica,
-                                   sim::Duration dur, bool amnesia) {
-  FaultSpec s;
-  s.kind = FaultKind::CrashStore;
-  s.at = at;
-  s.duration = dur;
-  s.replica = replica;
-  s.amnesia = amnesia;
-  return add(std::move(s));
-}
-
-Schedule& Schedule::crash_music_at(sim::Time at, int replica,
-                                   sim::Duration dur, bool amnesia) {
-  FaultSpec s;
-  s.kind = FaultKind::CrashMusic;
-  s.at = at;
-  s.duration = dur;
-  s.replica = replica;
-  s.amnesia = amnesia;
-  return add(std::move(s));
-}
-
-Schedule& Schedule::restart_at(sim::Time at, int site, sim::Duration dur,
-                               int version, bool amnesia) {
-  FaultSpec s;
-  s.kind = FaultKind::Restart;
-  s.at = at;
-  s.duration = dur;
-  s.site = site;
-  s.version = version;
-  s.amnesia = amnesia;
-  return add(std::move(s));
-}
-
 std::string Schedule::describe() const {
   std::string out;
   for (const FaultSpec& s : specs_) {

@@ -102,8 +102,7 @@ struct ParseDiag {
   std::string str() const;
 };
 
-/// An ordered list of FaultSpecs.  Builder methods return *this so
-/// schedules compose fluently; parse() accepts the script DSL.
+/// An ordered list of FaultSpecs, built by parse() from the script DSL.
 class Schedule {
  public:
   /// Parses the nemesis script DSL.  Clauses are ';'- or newline-separated:
@@ -133,26 +132,6 @@ class Schedule {
   /// drops clauses: the first bad clause aborts the whole parse.
   static std::optional<Schedule> parse(std::string_view script,
                                        ParseDiag* diag);
-
-  Schedule& add(FaultSpec spec);
-
-  Schedule& partition_at(sim::Time at, std::set<int> a, std::set<int> b,
-                         sim::Duration dur = 0);
-  Schedule& blackhole_at(sim::Time at, int from, int to, sim::Duration dur = 0,
-                         bool bidirectional = false);
-  Schedule& gray_at(sim::Time at, int from, int to, double loss,
-                    double delay_ms, sim::Duration dur = 0,
-                    bool bidirectional = false);
-  Schedule& spike_at(sim::Time at, int from, int to, double delay_ms,
-                     sim::Duration dur = 0, bool bidirectional = false);
-  Schedule& dup_at(sim::Time at, int from, int to, double prob,
-                   sim::Duration dur = 0, bool bidirectional = false);
-  Schedule& crash_store_at(sim::Time at, int replica, sim::Duration dur = 0,
-                           bool amnesia = false);
-  Schedule& crash_music_at(sim::Time at, int replica, sim::Duration dur = 0,
-                           bool amnesia = false);
-  Schedule& restart_at(sim::Time at, int site, sim::Duration dur = 0,
-                       int version = 0, bool amnesia = false);
 
   const std::vector<FaultSpec>& specs() const { return specs_; }
   bool empty() const { return specs_.empty(); }

@@ -8,6 +8,16 @@
 
 namespace music::raftkv {
 
+namespace {
+
+/// Leader heartbeat period.
+constexpr sim::Duration kHeartbeat = sim::ms(100);
+/// Followers draw their election timeout uniformly from this range.
+constexpr sim::Duration kElectionTimeoutMin = sim::ms(1000);
+constexpr sim::Duration kElectionTimeoutMax = sim::ms(2000);
+
+}  // namespace
+
 // ---- RaftNode ---------------------------------------------------------------
 
 RaftNode::RaftNode(RaftCluster& cluster, sim::NodeId node, int site, int id)
@@ -15,18 +25,18 @@ RaftNode::RaftNode(RaftCluster& cluster, sim::NodeId node, int site, int id)
       node_(node),
       site_(site),
       id_(id),
-      service_(cluster.simulation(), cluster.config().service),
-      disk_(cluster.simulation(), cluster.config().disk),
+      // Same server as the other stores; the Raft log is fsynced before
+      // acknowledging appends.
+      service_(cluster.simulation(), sim::kServerModel),
+      disk_(cluster.simulation(), sim::kFsyncDisk),
       rng_(cluster.simulation().rng().fork(0x52414654ull + static_cast<uint64_t>(id))) {
   election_timeout_ = random_election_timeout();
 }
 
 sim::Simulation& RaftNode::sim() { return cluster_.simulation(); }
-const RaftConfig& RaftNode::cfg() const { return cluster_.config(); }
 
 sim::Duration RaftNode::random_election_timeout() {
-  return rng_.uniform_int(cfg().election_timeout_min,
-                          cfg().election_timeout_max);
+  return rng_.uniform_int(kElectionTimeoutMin, kElectionTimeoutMax);
 }
 
 void RaftNode::become_follower(int64_t term) {
@@ -58,7 +68,7 @@ void RaftNode::become_candidate() {
   for (int i = 0; i < cluster_.num_nodes(); ++i) {
     if (i == id_) continue;
     cluster_.post(
-        node_, i, cfg().overhead_bytes,
+        node_, i, sim::kFramingBytes,
         [t = term_, c = id_, lli, llt](RaftNode& n) {
           n.on_request_vote(t, c, lli, llt);
         },
@@ -91,7 +101,7 @@ void RaftNode::on_request_vote(int64_t term, int candidate,
     }
   }
   cluster_.post(
-      node_, candidate, cfg().overhead_bytes,
+      node_, candidate, sim::kFramingBytes,
       [t = term_, granted, me = id_](RaftNode& n) {
         n.on_vote_reply(t, granted, me);
       },
@@ -121,7 +131,7 @@ void RaftNode::replicate_to(int peer) {
   std::vector<LogEntry> entries(
       log_.begin() + static_cast<ptrdiff_t>(prev),
       log_.end());
-  size_t bytes = cfg().overhead_bytes;
+  size_t bytes = sim::kFramingBytes;
   for (const auto& e : entries) bytes += e.cmd.bytes() + 16;
   cluster_.post(
       node_, peer, bytes,
@@ -138,7 +148,7 @@ void RaftNode::on_append_entries(int64_t term, int leader, int64_t prev_index,
                                  int64_t leader_commit) {
   if (term < term_) {
     cluster_.post(
-        node_, leader, cfg().overhead_bytes,
+        node_, leader, sim::kFramingBytes,
         [t = term_, me = id_](RaftNode& n) { n.on_append_reply(t, false, 0, me); },
         sim::MsgKind::RaftAppendAck);
     return;
@@ -151,7 +161,7 @@ void RaftNode::on_append_entries(int64_t term, int leader, int64_t prev_index,
   // Consistency check on the previous entry.
   if (prev_index > last_log_index() || term_of(prev_index) != prev_term) {
     cluster_.post(
-        node_, leader, cfg().overhead_bytes,
+        node_, leader, sim::kFramingBytes,
         [t = term_, me = id_](RaftNode& n) { n.on_append_reply(t, false, 0, me); },
         sim::MsgKind::RaftAppendAck);
     return;
@@ -179,7 +189,7 @@ void RaftNode::on_append_entries(int64_t term, int leader, int64_t prev_index,
   }
   auto reply = [this, leader, match] {
     cluster_.post(
-        node_, leader, cfg().overhead_bytes,
+        node_, leader, sim::kFramingBytes,
         [t = term_, match, me = id_](RaftNode& n) {
           n.on_append_reply(t, true, match, me);
         },
@@ -277,7 +287,7 @@ sim::Task<ProposeOutcome> RaftNode::propose(Command cmd) {
   });
   send_heartbeats();  // replicate immediately
   auto got = co_await sim::await_with_timeout<ProposeOutcome>(
-      sim(), done.future(), cfg().op_timeout);
+      sim(), done.future(), kOpTimeout);
   if (!got) {
     waiting_.erase(index);
     applied_flags_.erase(index);
@@ -333,8 +343,8 @@ void RaftNode::set_down(bool down) {
 // ---- RaftCluster ------------------------------------------------------------
 
 RaftCluster::RaftCluster(sim::Simulation& sim, sim::Network& net,
-                         RaftConfig cfg, const std::vector<int>& node_sites)
-    : sim_(sim), net_(net), cfg_(cfg) {
+                         const std::vector<int>& node_sites)
+    : sim_(sim), net_(net) {
   int id = 0;
   for (int site : node_sites) {
     sim::NodeId n = net_.add_node(site);
@@ -369,7 +379,7 @@ void RaftCluster::start() {
 
 void RaftCluster::schedule_tick(RaftNode* node) {
   // Self-rescheduling timer event (not a coroutine; see ZabEnsemble).
-  sim_.schedule(cfg_.heartbeat, [this, node] {
+  sim_.schedule(kHeartbeat, [this, node] {
     node->election_tick();
     schedule_tick(node);
   });
@@ -379,7 +389,7 @@ RaftNode* RaftCluster::wait_for_leader(sim::Duration limit) {
   sim::Time deadline = sim_.now() + limit;
   while (sim_.now() < deadline) {
     if (RaftNode* l = leader()) return l;
-    sim_.run_for(cfg_.heartbeat);
+    sim_.run_for(kHeartbeat);
   }
   return leader();
 }

@@ -34,18 +34,8 @@
 
 namespace music::raftkv {
 
-/// Cluster tunables.
-struct RaftConfig {
-  /// Same hardware model as the other stores.
-  sim::ServiceConfig service{8, 190, 2.0};
-  /// Raft log fsync before acknowledging appends.
-  sim::DiskConfig disk{300, 300e6};
-  sim::Duration heartbeat = sim::ms(100);
-  sim::Duration election_timeout_min = sim::ms(1000);
-  sim::Duration election_timeout_max = sim::ms(2000);
-  sim::Duration op_timeout = sim::sec(5);
-  size_t overhead_bytes = 96;
-};
+/// Client-visible request timeout, at a node and at a TxClient.
+inline constexpr sim::Duration kOpTimeout = sim::sec(5);
 
 /// A state-machine command: a write batch, optionally guarded by a
 /// compare-and-set condition evaluated at apply time (atomic with the
@@ -142,7 +132,6 @@ class RaftNode {
   friend class RaftCluster;
 
   sim::Simulation& sim();
-  const RaftConfig& cfg() const;
 
   void become_follower(int64_t term);
   void become_candidate();
@@ -194,12 +183,11 @@ class RaftNode {
 /// The cluster: registry + message fabric + timers.
 class RaftCluster {
  public:
-  RaftCluster(sim::Simulation& sim, sim::Network& net, RaftConfig cfg,
+  RaftCluster(sim::Simulation& sim, sim::Network& net,
               const std::vector<int>& node_sites);
 
   sim::Simulation& simulation() { return sim_; }
   sim::Network& network() { return net_; }
-  const RaftConfig& config() const { return cfg_; }
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int quorum() const { return num_nodes() / 2 + 1; }
@@ -242,7 +230,6 @@ class RaftCluster {
 
   sim::Simulation& sim_;
   sim::Network& net_;
-  RaftConfig cfg_;
   std::vector<std::unique_ptr<RaftNode>> nodes_;
 };
 

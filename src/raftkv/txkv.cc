@@ -27,7 +27,7 @@ sim::Task<ProposeOutcome> TxClient::propose_at_leader(Command cmd) {
     // Ship the proposal to the target over the network; it replies with the
     // outcome (or we time out).
     sim::Promise<ProposeOutcome> reply(cluster_.simulation());
-    size_t bytes = cmd.bytes() + cluster_.config().overhead_bytes;
+    size_t bytes = cmd.bytes() + sim::kFramingBytes;
     RaftNode* tp = &target;
     sim::NodeId me = node_;
     cluster_.network().send(
@@ -48,7 +48,7 @@ sim::Task<ProposeOutcome> TxClient::propose_at_leader(Command cmd) {
         },
         sim::MsgKind::ClientRequest);
     auto got = co_await sim::await_with_timeout<ProposeOutcome>(
-        cluster_.simulation(), reply.future(), cluster_.config().op_timeout);
+        cluster_.simulation(), reply.future(), kOpTimeout);
     if (!got) {
       // Timed out: maybe a dead/partitioned leader; rotate the hint.
       leader_hint_ = (target_id + 1) % cluster_.num_nodes();
@@ -97,7 +97,7 @@ sim::Task<Result<Value>> TxClient::select(Key key) {
       continue;
     }
     sim::Promise<Result<Value>> reply(cluster_.simulation());
-    size_t bytes = key.size() + cluster_.config().overhead_bytes;
+    size_t bytes = key.size() + sim::kFramingBytes;
     RaftNode* tp = &target;
     sim::NodeId me = node_;
     cluster_.network().send(
@@ -117,7 +117,7 @@ sim::Task<Result<Value>> TxClient::select(Key key) {
         },
         sim::MsgKind::ClientRequest);
     auto got = co_await sim::await_with_timeout<Result<Value>>(
-        cluster_.simulation(), reply.future(), cluster_.config().op_timeout);
+        cluster_.simulation(), reply.future(), kOpTimeout);
     if (!got) {
       leader_hint_ = (target_id + 1) % cluster_.num_nodes();
       continue;

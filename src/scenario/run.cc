@@ -480,7 +480,7 @@ CellOutcome run_zab_cell(const Cell& cell, obs::Tracer* tracer) {
   sim::NetworkConfig nc;
   nc.profile = profile_by_name(cell.profile());
   sim::Network net(sim, nc);
-  zab::ZabEnsemble ens(sim, net, zab::ZabConfig{}, {0, 1, 2});
+  zab::ZabEnsemble ens(sim, net, {0, 1, 2});
   ens.start();
 
   fault::Nemesis nemesis(sim, net, {});
@@ -517,7 +517,7 @@ CellOutcome run_cdb_cell(const Cell& cell, obs::Tracer* tracer) {
   sim::NetworkConfig nc;
   nc.profile = profile_by_name(cell.profile());
   sim::Network net(sim, nc);
-  raftkv::RaftCluster cluster(sim, net, raftkv::RaftConfig{}, {0, 1, 2});
+  raftkv::RaftCluster cluster(sim, net, {0, 1, 2});
   cluster.start();
   cluster.wait_for_leader();
 

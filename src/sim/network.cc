@@ -9,6 +9,15 @@
 
 namespace music::sim {
 
+namespace {
+
+/// Per-message serialization bandwidth, bits per second: inter-site links
+/// and the intra-site LAN.
+constexpr double kWanBandwidthBps = 1e9;
+constexpr double kLanBandwidthBps = 10e9;
+
+}  // namespace
+
 const char* to_string(MsgKind k) {
   switch (k) {
     case MsgKind::Generic: return "generic";
@@ -117,7 +126,7 @@ Duration Network::sample_delay_with(Rng& rng, NodeId from, NodeId to,
                                     size_t bytes) {
   Duration one_way = base_rtt(from, to) / 2;
   bool same_site = site_of(from) == site_of(to);
-  double bps = same_site ? cfg_.lan_bandwidth_bps : cfg_.wan_bandwidth_bps;
+  double bps = same_site ? kLanBandwidthBps : kWanBandwidthBps;
   auto xfer = static_cast<Duration>(static_cast<double>(bytes) * 8.0 / bps * 1e6);
   Duration base = one_way + xfer;
   if (cfg_.jitter_frac > 0.0) {

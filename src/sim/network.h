@@ -36,6 +36,10 @@ using PartitionId = uint64_t;
 /// Identifies one active link fault (see Network::add_link_fault).
 using LinkFaultId = uint64_t;
 
+/// Per-message framing overhead, in bytes, that every simulated protocol
+/// (store, MUSIC client, Zab, Raft) adds to a message's payload size.
+inline constexpr size_t kFramingBytes = 96;
+
 /// A directed per-site-pair link degradation.  All fields compose: a link
 /// can be gray (elevated loss + delay) and duplicate at the same time; a
 /// blackhole dominates everything else.  Applied to messages whose source
@@ -122,10 +126,6 @@ struct NetworkConfig {
   double jitter_frac = 0.02;
   /// Probability an individual message is silently dropped.
   double drop_prob = 0.0;
-  /// Inter-site bandwidth (per message serialization), bits per second.
-  double wan_bandwidth_bps = 1e9;
-  /// Intra-site bandwidth, bits per second.
-  double lan_bandwidth_bps = 10e9;
 };
 
 /// The network: node registry, delay computation, delivery, partitions.

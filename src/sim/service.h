@@ -30,6 +30,13 @@ struct ServiceConfig {
   double per_byte_ns = 2.0;
 };
 
+/// The testbed server every store process runs on (data store, Zab, Raft):
+/// 8 cores, 190us base cost per message, 2 ns per payload byte.  The 190us
+/// calibrates a 3-node cluster's eventual-write capacity to the ~41k op/s
+/// the paper reports for CassaEV (Fig. 4a), i.e. real Cassandra's per-op
+/// overhead.
+inline constexpr ServiceConfig kServerModel{8, 190, 2.0};
+
 /// A node's compute executor: `workers` parallel servers with FIFO
 /// assignment.  Work submitted while the node is down is discarded, and
 /// taking the node down discards all queued work (crash semantics).
@@ -75,6 +82,10 @@ struct DiskConfig {
   /// Sequential write throughput, bytes per second.
   double write_bps = 300e6;
 };
+
+/// The log device Zab and Raft fsync before acknowledging: 300us reflects
+/// an enterprise SSD with the small group-commit batches of a busy server.
+inline constexpr DiskConfig kFsyncDisk{300, 300e6};
 
 /// A single-queue storage device.  Used by the Zab substitute, which fsyncs
 /// its transaction log before acknowledging each proposal.

@@ -10,6 +10,9 @@ namespace music::wl {
 
 namespace {
 
+/// Client start jitter bound (avoids lockstep artifacts).
+constexpr sim::Duration kStartJitter = sim::ms(5);
+
 struct Accum {
   // Client loops execute on concurrent site lanes under PDES, so the exact
   // counts are relaxed atomics (commutative sums) and the sample sink takes
@@ -84,10 +87,7 @@ RunResult run_closed_loop(sim::Simulation& sim, std::shared_ptr<Workload> w,
   acc->end = acc->warmup_end + cfg.measure;
   acc->think = cfg.think;
   for (int c = 0; c < cfg.clients; ++c) {
-    sim::Duration jitter =
-        cfg.start_jitter > 0
-            ? sim.rng().uniform_int(0, cfg.start_jitter)
-            : 0;
+    sim::Duration jitter = sim.rng().uniform_int(0, kStartJitter);
     sim::spawn(sim, client_loop(sim, w, c, jitter, acc));
   }
   sim.run_until(acc->end + cfg.drain);

@@ -35,8 +35,6 @@ struct DriverConfig {
   sim::Duration measure = sim::sec(30);
   /// Extra time to let in-flight operations finish after the window.
   sim::Duration drain = sim::sec(30);
-  /// Client start jitter bound (avoids lockstep artifacts).
-  sim::Duration start_jitter = sim::ms(5);
   /// Arrival process: sampled before each operation as think time the
   /// client sleeps through.  The default (no hook) is the classic
   /// closed loop — the next op starts the moment the previous one

@@ -27,12 +27,12 @@ sim::Task<bool> YcsbWorkload::run_once(int cid) {
   // collision in the paper's sense.
   bool first_poll = true;
   Status acq = Status::Err(OpStatus::Timeout);
-  for (int attempt = 0; attempt < c.config().max_poll_attempts; ++attempt) {
+  for (int attempt = 0; attempt < core::kMaxPollAttempts; ++attempt) {
     acq = co_await c.acquire_lock(key, ref.value());
     if (first_poll && acq.status() == OpStatus::NotYetHolder) ++collisions_;
     first_poll = false;
     if (acq.ok() || acq.status() == OpStatus::NotLockHolder) break;
-    co_await sim::sleep_for(c.simulation(), c.config().poll_backoff);
+    co_await sim::sleep_for(c.simulation(), core::kPollBackoff);
   }
   if (!acq.ok()) {
     co_await c.remove_lock_ref(key, ref.value());

@@ -8,6 +8,17 @@
 
 namespace music::zab {
 
+namespace {
+
+/// Leader heartbeat period.
+constexpr sim::Duration kHeartbeat = sim::ms(250);
+/// A follower that misses heartbeats this long starts an election.
+constexpr sim::Duration kElectionTimeout = sim::ms(1500);
+/// Client-visible request timeout at a server.
+constexpr sim::Duration kOpTimeout = sim::sec(5);
+
+}  // namespace
+
 // ---- ZabServer --------------------------------------------------------------
 
 ZabServer::ZabServer(ZabEnsemble& ensemble, sim::NodeId node, int site, int id)
@@ -15,11 +26,12 @@ ZabServer::ZabServer(ZabEnsemble& ensemble, sim::NodeId node, int site, int id)
       node_(node),
       site_(site),
       id_(id),
-      service_(ensemble.simulation(), ensemble.config().service),
-      disk_(ensemble.simulation(), ensemble.config().disk) {}
+      // Same server as the data store's nodes (the paper's testbed);
+      // Zookeeper fsyncs its txn log before acking every proposal.
+      service_(ensemble.simulation(), sim::kServerModel),
+      disk_(ensemble.simulation(), sim::kFsyncDisk) {}
 
 sim::Simulation& ZabServer::sim() { return ensemble_.simulation(); }
-const ZabConfig& ZabServer::cfg() const { return ensemble_.config(); }
 
 bool ZabServer::is_leader() const { return leader_id_ == id_ && !down(); }
 
@@ -29,7 +41,7 @@ sim::Future<bool> ZabServer::broadcast(Txn txn, int64_t* zxid_out) {
   int64_t zxid = txn.zxid;
   if (zxid_out != nullptr) *zxid_out = zxid;
   int64_t epoch = epoch_;
-  size_t bytes = txn.bytes() + cfg().overhead_bytes;
+  size_t bytes = txn.bytes() + sim::kFramingBytes;
   pending_.emplace(zxid, Pending(txn, done));
   // One propose/ack WAN round trip to reach quorum commit.
   sim::trace_rtts(sim(), 1);
@@ -58,7 +70,7 @@ void ZabServer::on_propose(int64_t epoch, Txn txn, sim::NodeId /*from*/) {
   int64_t zxid = txn.zxid;
   // Follower durability: fsync, then ack to the leader.
   disk_.write_sync(txn.bytes(), [this, epoch, zxid] {
-    size_t small = cfg().overhead_bytes;
+    size_t small = sim::kFramingBytes;
     ensemble_.post(
         node_, leader_id_, small,
         [epoch, zxid](ZabServer& l) { l.on_ack(epoch, zxid); },
@@ -85,7 +97,7 @@ void ZabServer::try_commit() {
     pending_.erase(it);
     last_committed_ = txn.zxid;
     apply(txn);
-    size_t bytes = txn.bytes() + cfg().overhead_bytes;
+    size_t bytes = txn.bytes() + sim::kFramingBytes;
     int64_t epoch = epoch_;
     for (int i = 0; i < ensemble_.num_servers(); ++i) {
       if (i == id_) continue;
@@ -168,7 +180,7 @@ void ZabServer::maybe_elect() {
   for (int i = 0; i < ensemble_.num_servers(); ++i) {
     if (i == id_) continue;
     ensemble_.post(
-        node_, i, cfg().overhead_bytes,
+        node_, i, sim::kFramingBytes,
         [epoch, me = id_](ZabServer& f) { f.on_heartbeat(epoch, me); },
         sim::MsgKind::ZabElection);
   }
@@ -181,11 +193,11 @@ void ZabServer::election_tick() {
     for (int i = 0; i < ensemble_.num_servers(); ++i) {
       if (i == id_) continue;
       ensemble_.post(
-          node_, i, cfg().overhead_bytes,
+          node_, i, sim::kFramingBytes,
           [epoch, me = id_](ZabServer& f) { f.on_heartbeat(epoch, me); },
           sim::MsgKind::ZabHeartbeat);
     }
-  } else if (sim().now() - last_heartbeat_seen_ > cfg().election_timeout) {
+  } else if (sim().now() - last_heartbeat_seen_ > kElectionTimeout) {
     maybe_elect();
   }
 }
@@ -200,7 +212,7 @@ sim::Task<Status> ZabServer::write(Key path, Value data, bool deleted) {
   Txn txn(0, std::move(path), std::move(data), deleted);
   if (is_leader()) {
     auto committed = co_await sim::await_with_timeout<bool>(
-        sim(), broadcast(std::move(txn)), cfg().op_timeout);
+        sim(), broadcast(std::move(txn)), kOpTimeout);
     co_return committed.has_value() ? Status::Ok()
                                     : Status::Err(OpStatus::Timeout);
   }
@@ -210,7 +222,7 @@ sim::Task<Status> ZabServer::write(Key path, Value data, bool deleted) {
   sim::Promise<bool> local_commit(sim());
   // Forward-to-leader and commit-notify: one extra WAN round trip.
   sim::trace_rtts(sim(), 1);
-  size_t bytes = txn.bytes() + cfg().overhead_bytes;
+  size_t bytes = txn.bytes() + sim::kFramingBytes;
   ensemble_.post(node_, leader_id_, bytes,
                  [txn, local_commit, back = id_](ZabServer& l) {
                    if (!l.is_leader()) return;  // stale view; client times out
@@ -218,14 +230,14 @@ sim::Task<Status> ZabServer::write(Key path, Value data, bool deleted) {
                    auto fut = l.broadcast(txn, &zxid);
                    fut.on_value([&l, local_commit, back, zxid](const bool&) {
                      l.ensemble_.post(
-                         l.node_, back, l.cfg().overhead_bytes,
+                         l.node_, back, sim::kFramingBytes,
                          [local_commit, zxid](ZabServer& f) {
                            f.reply_when_applied(zxid, local_commit);
                          });
                    });
                  });
   auto done = co_await sim::await_with_timeout<bool>(
-      sim(), local_commit.future(), cfg().op_timeout);
+      sim(), local_commit.future(), kOpTimeout);
   co_return done.has_value() ? Status::Ok() : Status::Err(OpStatus::Timeout);
 }
 
@@ -268,7 +280,7 @@ sim::Task<Result<Key>> ZabServer::create_sequential(Key prefix, Value data) {
   // Forward-to-leader with a special marker: the leader rewrites the path
   // to prefix + zero-padded zxid before broadcasting.
   sim::Promise<Result<Key>> done(sim());
-  size_t bytes = prefix.size() + data.size() + cfg().overhead_bytes;
+  size_t bytes = prefix.size() + data.size() + sim::kFramingBytes;
   ensemble_.post(node_, leader_id_, bytes,
                  [prefix, data, done, back = id_](ZabServer& l) {
                    if (!l.is_leader()) return;  // client retries on timeout
@@ -279,7 +291,7 @@ sim::Task<Result<Key>> ZabServer::create_sequential(Key prefix, Value data) {
                    int64_t zxid = 0;
                    auto fut = l.broadcast(Txn(0, path, data, false), &zxid);
                    fut.on_value([&l, done, back, path, zxid](const bool&) {
-                     l.ensemble_.post(l.node_, back, l.cfg().overhead_bytes,
+                     l.ensemble_.post(l.node_, back, sim::kFramingBytes,
                                       [done, path, zxid](ZabServer& f) {
                                         sim::Promise<bool> applied(f.sim());
                                         f.reply_when_applied(zxid, applied);
@@ -292,7 +304,7 @@ sim::Task<Result<Key>> ZabServer::create_sequential(Key prefix, Value data) {
                    });
                  });
   auto got = co_await sim::await_with_timeout<Result<Key>>(
-      sim(), done.future(), cfg().op_timeout);
+      sim(), done.future(), kOpTimeout);
   if (!got) co_return Result<Key>::Err(OpStatus::Timeout);
   co_return *got;
 }
@@ -331,8 +343,8 @@ void ZabServer::set_down(bool down) {
 // ---- ZabEnsemble ------------------------------------------------------------
 
 ZabEnsemble::ZabEnsemble(sim::Simulation& sim, sim::Network& net,
-                         ZabConfig cfg, const std::vector<int>& server_sites)
-    : sim_(sim), net_(net), cfg_(cfg) {
+                         const std::vector<int>& server_sites)
+    : sim_(sim), net_(net) {
   int id = 0;
   for (int site : server_sites) {
     sim::NodeId node = net_.add_node(site);
@@ -371,7 +383,7 @@ void ZabEnsemble::start() {
 void ZabEnsemble::schedule_tick(ZabServer* srv) {
   // Self-rescheduling timer event (not a coroutine: the simulation frees
   // queued events on destruction, so nothing outlives the run).
-  sim_.schedule(cfg_.heartbeat, [this, srv] {
+  sim_.schedule(kHeartbeat, [this, srv] {
     srv->election_tick();
     schedule_tick(srv);
   });
@@ -415,8 +427,7 @@ sim::Task<Status> ZkClient::set_data(Key path, Value data) {
     ZabServer& server = ensemble_.server_at_site(site_);
     ZabServer* srv = &server;
     sim::Promise<Status> reply(ensemble_.simulation());
-    size_t bytes =
-        path.size() + data.size() + ensemble_.config().overhead_bytes;
+    size_t bytes = path.size() + data.size() + sim::kFramingBytes;
     ensemble_.network().send(
         node_, server.node(), bytes,
         [srv, path, data, reply, me = node_, bytes] {
@@ -427,7 +438,7 @@ sim::Task<Status> ZkClient::set_data(Key path, Value data) {
         },
         sim::MsgKind::ClientRequest);
     auto got = co_await sim::await_with_timeout<Status>(
-        ensemble_.simulation(), reply.future(), ensemble_.config().op_timeout);
+        ensemble_.simulation(), reply.future(), kOpTimeout);
     if (got.has_value() && got->ok()) co_return *got;
     co_await sim::sleep_for(ensemble_.simulation(), sim::ms(50));
   }
@@ -439,7 +450,7 @@ sim::Task<Result<Value>> ZkClient::get_data(Key path) {
   ZabServer& server = ensemble_.server_at_site(site_);
   ZabServer* srv = &server;
   sim::Promise<Result<Value>> reply(ensemble_.simulation());
-  size_t bytes = path.size() + ensemble_.config().overhead_bytes;
+  size_t bytes = path.size() + sim::kFramingBytes;
   ensemble_.network().send(
       node_, server.node(), bytes,
       [srv, path, reply, me = node_, bytes] {
@@ -450,7 +461,7 @@ sim::Task<Result<Value>> ZkClient::get_data(Key path) {
       },
       sim::MsgKind::ClientRequest);
   auto got = co_await sim::await_with_timeout<Result<Value>>(
-      ensemble_.simulation(), reply.future(), ensemble_.config().op_timeout);
+      ensemble_.simulation(), reply.future(), kOpTimeout);
   if (!got) co_return Result<Value>::Err(OpStatus::Timeout);
   co_return *got;
 }

@@ -39,25 +39,6 @@
 
 namespace music::zab {
 
-/// Ensemble tunables.
-struct ZabConfig {
-  /// Same per-message compute model as the data store's nodes (same
-  /// hardware in the paper's testbed).
-  sim::ServiceConfig service{8, 190, 2.0};
-  /// Zookeeper fsyncs its txn log before acking every proposal; 300us
-  /// reflects an enterprise SSD with the small group-commit batches of a
-  /// busy server.
-  sim::DiskConfig disk{300, 300e6};
-  /// Leader heartbeat period.
-  sim::Duration heartbeat = sim::ms(250);
-  /// A follower that misses heartbeats this long starts an election.
-  sim::Duration election_timeout = sim::ms(1500);
-  /// Client-visible request timeout at a server.
-  sim::Duration op_timeout = sim::sec(5);
-  /// Message framing overhead.
-  size_t overhead_bytes = 96;
-};
-
 class ZabEnsemble;
 
 /// One Zookeeper server.
@@ -134,7 +115,6 @@ class ZabServer {
   };
 
   sim::Simulation& sim();
-  const ZabConfig& cfg() const;
 
   /// Shared write path behind set_data/remove (forwards to the leader).
   sim::Task<Status> write(Key path, Value data, bool deleted);
@@ -188,12 +168,11 @@ class ZabServer {
 /// The ensemble: registry, quorum math, message fabric.
 class ZabEnsemble {
  public:
-  ZabEnsemble(sim::Simulation& sim, sim::Network& net, ZabConfig cfg,
+  ZabEnsemble(sim::Simulation& sim, sim::Network& net,
               const std::vector<int>& server_sites);
 
   sim::Simulation& simulation() { return sim_; }
   sim::Network& network() { return net_; }
-  const ZabConfig& config() const { return cfg_; }
 
   int num_servers() const { return static_cast<int>(servers_.size()); }
   int quorum() const { return num_servers() / 2 + 1; }
@@ -234,7 +213,6 @@ class ZabEnsemble {
 
   sim::Simulation& sim_;
   sim::Network& net_;
-  ZabConfig cfg_;
   std::vector<std::unique_ptr<ZabServer>> servers_;
 };
 

@@ -116,7 +116,7 @@ TEST(Client, PollBudgetBoundsAcquireBlocking) {
     sim::Time t0 = w.sim.now();
     auto st = co_await c1.acquire_lock_blocking("k", r1.value());
     EXPECT_EQ(st.status(), OpStatus::Timeout);
-    // Bounded by max_poll_attempts x (backoff + rpc, some polls remote):
+    // Bounded by kMaxPollAttempts x (backoff + rpc, some polls remote):
     // ~2 simulated minutes, not unbounded.
     EXPECT_LT(w.sim.now() - t0, sim::sec(180));
     co_await c1.remove_lock_ref("k", r1.value());
@@ -172,7 +172,7 @@ TEST(Client, OpDeadlineBoundsRetryLoop) {
 
 TEST(Client, ConsecutiveFailuresDemoteReplicas) {
   // With the store majority dead every MUSIC replica keeps timing out;
-  // after health_fail_threshold consecutive failures the client demotes
+  // after kHealthFailThreshold (3) consecutive failures the client demotes
   // them.  Once the stores heal, quarantine must not wedge the client (it
   // falls back to up replicas when everything healthy is demoted).
   WorldOptions opt;

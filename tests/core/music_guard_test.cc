@@ -191,6 +191,12 @@ TEST(Stats, CountersTrackOperations) {
       co_await c.critical_put("k", ref, Value("b"));
       auto g = co_await c.critical_get("k", ref);
       (void)g;
+      // A batched read of a never-written key answers NotFound, and is
+      // still a criticalGet.
+      Session s(c, "k", ref);
+      size_t ix = s.get("never-written");
+      co_await s.flush();
+      EXPECT_EQ(s.results()[ix].status, OpStatus::NotFound);
       co_return Status::Ok();
     };
     co_await c.with_lock("k", body);
@@ -200,7 +206,7 @@ TEST(Stats, CountersTrackOperations) {
   EXPECT_EQ(st.create_lock_ref, 1u);
   EXPECT_EQ(st.acquire_granted, 1u);
   EXPECT_EQ(st.critical_puts, 2u);
-  EXPECT_EQ(st.critical_gets, 1u);
+  EXPECT_EQ(st.critical_gets, 2u);
   EXPECT_EQ(st.releases, 1u);
 }
 

@@ -93,18 +93,6 @@ TEST(ScheduleParse, DescribeMentionsEveryClause) {
   EXPECT_NE(d.find("at 4s crash store 1 (amnesia)"), std::string::npos) << d;
 }
 
-TEST(ScheduleBuilder, MirrorsTheDsl) {
-  Schedule s;
-  s.partition_at(sim::sec(1), {0}, {1, 2}, sim::sec(2))
-      .gray_at(sim::sec(2), 0, 1, 0.1, 25.0, sim::sec(1), /*bidirectional=*/true)
-      .crash_music_at(sim::sec(3), 0, sim::sec(1), /*amnesia=*/true);
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.specs()[0].kind, FaultKind::Partition);
-  EXPECT_EQ(s.specs()[1].kind, FaultKind::GrayLink);
-  EXPECT_TRUE(s.specs()[1].bidirectional);
-  EXPECT_TRUE(s.specs()[2].amnesia);
-}
-
 /// A 3-site network with one node per site, plus recording crash hooks.
 class NemesisTest : public ::testing::Test {
  protected:
@@ -175,11 +163,11 @@ TEST_F(NemesisTest, ArmedScheduleFiresAndHealsOnTime) {
 
 TEST_F(NemesisTest, HealAllEndsOpenEndedFaults) {
   Nemesis nem(sim_, net_, hooks_);
-  Schedule s;
-  s.partition_at(0, {0}, {1, 2});          // no duration: open-ended
-  s.blackhole_at(0, 1, 2);                 // ditto
-  s.crash_music_at(0, 0);                  // ditto
-  nem.arm(s);
+  // No "for" clause: every fault is open-ended.
+  auto s = Schedule::parse(
+      "at 0s partition 0|1,2; at 0s blackhole 1>2; at 0s crash music 0");
+  ASSERT_TRUE(s.has_value());
+  nem.arm(*s);
   sim_.run_until(sim::ms(10));
   EXPECT_EQ(nem.open_faults(), 3u);
   EXPECT_FALSE(net_.deliverable(nodes_[0], nodes_[1]));
@@ -321,9 +309,9 @@ TEST_F(NemesisTest, OpenEndedRestartHealsViaHealAll) {
     if (!down) ++backs;
   };
   Nemesis nem(sim_, net_, hooks_);
-  Schedule s;
-  s.restart_at(0, /*site=*/2, /*dur=*/0, /*version=*/1, /*amnesia=*/true);
-  nem.arm(s);
+  auto s = Schedule::parse("at 0s restart 2 version 1 amnesia");
+  ASSERT_TRUE(s.has_value());
+  nem.arm(*s);
   sim_.run_until(sim::ms(10));
   EXPECT_EQ(nem.open_faults(), 1u);
   EXPECT_EQ(backs, 0);

@@ -34,7 +34,7 @@ struct RaftLockWorld {
               return c;
             }()),
         store(sim, net, ds::StoreConfig{}, {0, 1, 2}),
-        raft(sim, net, raftkv::RaftConfig{}, {0, 1, 2}),
+        raft(sim, net, {0, 1, 2}),
         locks(raft),
         runner(sim) {
     raft.start();

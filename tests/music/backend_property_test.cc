@@ -33,7 +33,7 @@ struct RaftBackedWorld {
               return c;
             }()),
         store(sim, net, ds::StoreConfig{}, {0, 1, 2}),
-        raft(sim, net, raftkv::RaftConfig{}, {0, 1, 2}),
+        raft(sim, net, {0, 1, 2}),
         locks(raft) {
     raft.start();
     raft.wait_for_leader();

@@ -16,14 +16,14 @@ struct RaftWorld {
   RaftCluster cluster;
   test::TaskRunner runner;
 
-  explicit RaftWorld(uint64_t seed = 1, RaftConfig cfg = RaftConfig())
+  explicit RaftWorld(uint64_t seed = 1)
       : sim(seed),
         net(sim, [] {
           sim::NetworkConfig c;
           c.profile = sim::LatencyProfile::profile_lus();
           return c;
         }()),
-        cluster(sim, net, cfg, {0, 1, 2}),
+        cluster(sim, net, {0, 1, 2}),
         runner(sim) {
     cluster.start();
   }

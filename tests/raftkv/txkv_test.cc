@@ -23,7 +23,7 @@ struct TxWorld {
           c.profile = sim::LatencyProfile::profile_lus();
           return c;
         }()),
-        cluster(sim, net, RaftConfig(), {0, 1, 2}),
+        cluster(sim, net, {0, 1, 2}),
         runner(sim) {
     cluster.start();
     cluster.wait_for_leader();

@@ -158,11 +158,10 @@ TEST(YcsbWorkloadIntegration, MixesRAndUDoOnlyTheirOperation) {
     }
     return t;
   };
-  // Mix R reads keys nobody wrote: its criticalGets answer NotFound, which
-  // MusicStats does not count, so the granted locks show the sections ran.
   Totals r = run(YcsbMix::r());
   EXPECT_EQ(r.puts, 0u);
   EXPECT_GE(r.grants, 12u);
+  EXPECT_EQ(r.gets, 12u);  // keys nobody wrote: each read answers NotFound
   Totals u = run(YcsbMix::u());
   EXPECT_EQ(u.gets, 0u);
   EXPECT_GT(u.puts, 0u);

@@ -16,14 +16,14 @@ struct ZabWorld {
   ZabEnsemble ens;
   test::TaskRunner runner;
 
-  explicit ZabWorld(uint64_t seed = 1, ZabConfig cfg = ZabConfig())
+  explicit ZabWorld(uint64_t seed = 1)
       : sim(seed),
         net(sim, [] {
           sim::NetworkConfig c;
           c.profile = sim::LatencyProfile::profile_lus();
           return c;
         }()),
-        ens(sim, net, cfg, {0, 1, 2}),
+        ens(sim, net, {0, 1, 2}),
         runner(sim) {
     ens.start();
   }

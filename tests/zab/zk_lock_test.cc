@@ -24,7 +24,7 @@ struct ZkWorld {
               c.profile = sim::LatencyProfile::profile_lus();
               return c;
             }()),
-        ens(sim, net, ZabConfig{}, {0, 1, 2}),
+        ens(sim, net, {0, 1, 2}),
         runner(sim) {
     ens.start();
   }
